@@ -12,7 +12,7 @@ grand-coalition value as an equality, not a rounding coincidence.
 
 from fractions import Fraction
 
-from chainshare import CharacteristicFunction, shapley_exact, validate_game
+from chainshare import CharacteristicFunction, shapley_exact, shapley_terms, validate_game
 
 ###############################################################################
 # The characteristic function maps every non-empty coalition to the profit
@@ -52,11 +52,13 @@ assert allocation.total == game.grand_value  # exact equality
 print("total:", allocation.total)
 
 ###############################################################################
-# The audit trail records every (coalition, weight, marginal) term. Here is
-# how A's payoff of 4150/3 decomposes:
+# The audit trail lists one player's (coalition, weight, marginal) terms on
+# demand. Here is how A's payoff of 4150/3 decomposes:
 
-for term in allocation.terms[0]:
+terms = shapley_terms(game, "A")
+for term in terms:
     print(f"  W={term.weight}  marginal={term.marginal}  from {term.coalition}")
 
-weight_sum = sum((t.weight for t in allocation.terms[0]), Fraction(0))
+assert sum((t.weight * t.marginal for t in terms), Fraction(0)) == allocation.payoff_of("A")
+weight_sum = sum((t.weight for t in terms), Fraction(0))
 print("weights over A's coalitions sum to", weight_sum)

@@ -48,6 +48,7 @@ from .game import (
     ValidationReport,
     coalition_weight,
     shapley_exact,
+    shapley_terms,
     validate_game,
 )
 from .sampling import EstimateReport, SamplingPlan, sample_shapley
@@ -109,6 +110,7 @@ __all__ = [
     "scenario_hierarchy",
     "serialize_scenario",
     "shapley_exact",
+    "shapley_terms",
     "synthesize_factors",
     "validate_game",
     "weighted_value_sums",

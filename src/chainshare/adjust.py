@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import AlignmentError, FactorSumError
-from .game import Allocation, CharacteristicFunction, PlayerSet, coalition_weight, shapley_exact
+from .game import Allocation, CharacteristicFunction, PlayerSet, _payoffs_and_levers
 from .rational import RationalLike, parse_rational
 
 FACTOR_SUM_TOLERANCE = Fraction(1, 100)
@@ -136,17 +136,7 @@ def weighted_value_sums(game: CharacteristicFunction) -> tuple[Fraction, ...]:
     This is the lever arm of the eq3 adjustment: its per-coalition extra
     terms collapse to deviation_i * A_i.
     """
-    n = game.n
-    weights = [Fraction(0)] + [coalition_weight(n, s) for s in range(1, n + 1)]
-    sums = [Fraction(0)] * n
-    for mask, value in game.values.items():
-        contribution = weights[mask.bit_count()] * value
-        remaining = mask
-        while remaining:
-            bit = remaining & -remaining
-            remaining ^= bit
-            sums[bit.bit_length() - 1] += contribution
-    return tuple(sums)
+    return _payoffs_and_levers(game)[1]
 
 
 def adjusted_shapley(
@@ -168,14 +158,14 @@ def adjusted_shapley(
             f"factors are for players {factors.player_set.players}, "
             f"game has {game.player_set.players}"
         )
-    base = shapley_exact(game)
+    payoffs, levers = _payoffs_and_levers(game)
+    base = Allocation(player_set=game.player_set, payoffs=payoffs)
     if mode == "eq3":
-        levers = weighted_value_sums(game)
         adjustments = tuple(d * a for d, a in zip(factors.deviations, levers))
     else:
         grand = game.grand_value
         adjustments = tuple(d * grand for d in factors.deviations)
-    adjusted = tuple(p + a for p, a in zip(base.payoffs, adjustments))
+    adjusted = tuple(p + a for p, a in zip(payoffs, adjustments))
     gap = sum(adjusted, Fraction(0)) - game.grand_value
     flags = tuple(
         payoff >= game(1 << i) for i, payoff in enumerate(adjusted)

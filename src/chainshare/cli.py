@@ -14,7 +14,7 @@ from pathlib import Path
 from . import __version__
 from .adjust import MODES, adjusted_shapley
 from .ahp import synthesize_factors
-from .errors import ChainshareError, ConsistencyGateError
+from .errors import ChainshareError
 from .game import shapley_exact, validate_game
 from .report import FORMATS, ReportDocument, render
 from .sampling import DEFAULT_CHUNK_SIZE, SamplingPlan, sample_shapley
@@ -124,22 +124,18 @@ def _run(args: argparse.Namespace) -> tuple[ReportDocument, int]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "sample" and args.workers < 1:
+        parser.error(f"argument --workers: must be at least 1, got {args.workers}")
     try:
         doc, status = _run(args)
-    except ConsistencyGateError as exc:
-        print(f"error: {exc} [CR = {exc.ratio:.4f}]", file=sys.stderr)
-        return 1
-    except ChainshareError as exc:
+        text = render(doc, args.format)
+        if args.output:
+            Path(args.output).write_text(text, encoding="utf-8", newline="")
+        else:
+            sys.stdout.write(text)
+    except (ChainshareError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    text = render(doc, args.format)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8", newline="")
-    else:
-        sys.stdout.write(text)
     return status
 
 

@@ -183,16 +183,11 @@ class CharacteristicFunction:
 
 @dataclass(frozen=True)
 class Allocation:
-    """Per-player payoffs plus the full per-term audit trail.
-
-    ``terms[i]`` lists one :class:`ShapleyTerm` for every coalition
-    containing player i; the payoff is the sum of weight * marginal over
-    that list.
-    """
+    """Per-player payoffs over a player set; :func:`shapley_terms` audits
+    any one payoff term by term."""
 
     player_set: PlayerSet
     payoffs: tuple[Fraction, ...]
-    terms: tuple[tuple[ShapleyTerm, ...], ...]
 
     @property
     def total(self) -> Fraction:
@@ -205,36 +200,55 @@ class Allocation:
         return dict(zip(self.player_set.players, self.payoffs))
 
 
+def _payoffs_and_levers(game: CharacteristicFunction) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Shapley payoffs and eq3 levers A_i from one pass over the value table.
+
+    With D the lcm of the denominators, each v(S) * D is an int; the pass
+    sums it per size s into T[s] and, per member i, into In[i][s]. With
+    c(s) = (n-s)!(s-1)! = n! W(s), A_i = sum_s c(s) In[i][s] / (n! D), and
+    since each S without i is S' \\ {i} for one S' of size |S| + 1,
+    phi_i = A_i - sum_s c(s+1) (T[s] - In[i][s]) / (n! D).
+    """
+    n = game.n
+    scale = math.lcm(*(value.denominator for value in game.values.values()))
+    totals = [0] * (n + 1)
+    inside = [[0] * (n + 1) for _ in range(n)]
+    for mask, value in game.values.items():
+        scaled = value.numerator * (scale // value.denominator)
+        size = mask.bit_count()
+        totals[size] += scaled
+        remaining = mask
+        while remaining:
+            bit = remaining & -remaining
+            remaining ^= bit
+            inside[bit.bit_length() - 1][size] += scaled
+    c = [0] + [math.factorial(n - s) * math.factorial(s - 1) for s in range(1, n + 1)]
+    levers = [sum(w * x for w, x in zip(c, row)) for row in inside]
+    payoffs = [a - sum(c[s + 1] * (totals[s] - row[s]) for s in range(1, n))
+               for a, row in zip(levers, inside)]
+    denominator = math.factorial(n) * scale
+    return (tuple(Fraction(x, denominator) for x in payoffs),
+            tuple(Fraction(x, denominator) for x in levers))
+
+
 def shapley_exact(game: CharacteristicFunction) -> Allocation:
-    """Exact Shapley allocation by enumeration of all coalitions.
+    """Exact Shapley allocation.
 
     For each player i the payoff is the sum over coalitions S containing
     i of (n-|S|)!(|S|-1)!/n! * [v(S) - v(S \\ {i})]. The returned
     allocation satisfies efficiency exactly: payoffs sum to v(N).
     """
-    n = game.n
-    if n > ENUMERATION_MAX_PLAYERS:
-        raise EnumerationBoundError(n, ENUMERATION_MAX_PLAYERS)
-    weights = [Fraction(0)] + [coalition_weight(n, s) for s in range(1, n + 1)]
-    payoffs = [Fraction(0)] * n
-    terms: list[list[ShapleyTerm]] = [[] for _ in range(n)]
-    values = game.values
-    for mask in range(1, 1 << n):
-        weight = weights[mask.bit_count()]
-        v_mask = values[mask]
-        remaining = mask
-        while remaining:
-            bit = remaining & -remaining
-            remaining ^= bit
-            i = bit.bit_length() - 1
-            prior = mask ^ bit
-            marginal = v_mask - values[prior] if prior else v_mask
-            payoffs[i] += weight * marginal
-            terms[i].append(ShapleyTerm(Coalition(game.player_set, mask), weight, marginal))
-    return Allocation(
-        player_set=game.player_set,
-        payoffs=tuple(payoffs),
-        terms=tuple(tuple(t) for t in terms),
+    return Allocation(player_set=game.player_set, payoffs=_payoffs_and_levers(game)[0])
+
+
+def shapley_terms(game: CharacteristicFunction, player: str) -> tuple[ShapleyTerm, ...]:
+    """One player's audited summands, one per coalition containing the
+    player in ascending mask order; weight * marginal sums to the payoff."""
+    bit = 1 << game.player_set.index(player)
+    return tuple(
+        ShapleyTerm(Coalition(game.player_set, mask), coalition_weight(game.n, mask.bit_count()),
+                    game(mask) - game(mask ^ bit))
+        for mask in range(bit, 1 << game.n) if mask & bit
     )
 
 

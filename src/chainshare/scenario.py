@@ -38,13 +38,11 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .adjust import AdjustmentFactors, compute_deltas
+from .adjust import MODES, AdjustmentFactors, compute_deltas
 from .ahp import ComparisonMatrix, CriteriaHierarchy, WeightVector, synthesize_factors
 from .errors import ScenarioError
 from .game import CharacteristicFunction, PlayerSet
 from .rational import exact_string, parse_rational
-
-MODES = ("eq3", "grand")
 
 
 @dataclass(frozen=True)
@@ -73,13 +71,9 @@ class ScenarioFile:
         return PlayerSet(self.players)
 
 
-def _fail(message: str, locus: str) -> ScenarioError:
-    return ScenarioError(message, locus)
-
-
 def _parse_number(raw, locus: str) -> Fraction:
     if isinstance(raw, bool) or not isinstance(raw, (str, int)):
-        raise _fail(
+        raise ScenarioError(
             f"numbers must be strings (or ints), got {type(raw).__name__}; "
             "write values like \"1000\" or \"0.6648\" to keep them exact",
             locus,
@@ -87,48 +81,48 @@ def _parse_number(raw, locus: str) -> Fraction:
     try:
         return parse_rational(raw)
     except ValueError as exc:
-        raise _fail(str(exc), locus) from None
+        raise ScenarioError(str(exc), locus) from None
 
 
 def _parse_players(doc: dict) -> tuple[str, ...]:
     players = doc.get("players")
     if players is None:
-        raise _fail("missing required field", "players")
+        raise ScenarioError("missing required field", "players")
     if not isinstance(players, list) or not players:
-        raise _fail("must be a non-empty list of identifiers", "players")
+        raise ScenarioError("must be a non-empty list of identifiers", "players")
     for i, p in enumerate(players):
         if not isinstance(p, str) or not p:
-            raise _fail("player identifiers must be non-empty strings", f"players[{i}]")
+            raise ScenarioError("player identifiers must be non-empty strings", f"players[{i}]")
     if len(set(players)) != len(players):
-        raise _fail("player identifiers must be unique", "players")
+        raise ScenarioError("player identifiers must be unique", "players")
     return tuple(players)
 
 
 def _parse_coalitions(doc: dict, players: tuple[str, ...]) -> dict[int, Fraction]:
     coalitions = doc.get("coalitions")
     if coalitions is None:
-        raise _fail("missing required field", "coalitions")
+        raise ScenarioError("missing required field", "coalitions")
     if not isinstance(coalitions, list) or not coalitions:
-        raise _fail("must be a non-empty list of {members, value} entries", "coalitions")
+        raise ScenarioError("must be a non-empty list of {members, value} entries", "coalitions")
     order = {p: i for i, p in enumerate(players)}
     values: dict[int, Fraction] = {}
     for i, entry in enumerate(coalitions):
         locus = f"coalitions[{i}]"
         if not isinstance(entry, dict) or set(entry) != {"members", "value"}:
-            raise _fail("each coalition needs exactly the keys 'members' and 'value'", locus)
+            raise ScenarioError("each coalition needs exactly the keys 'members' and 'value'", locus)
         members = entry["members"]
         if not isinstance(members, list) or not members:
-            raise _fail("members must be a non-empty list", f"{locus}.members")
+            raise ScenarioError("members must be a non-empty list", f"{locus}.members")
         mask = 0
         for name in members:
             if name not in order:
-                raise _fail(f"unknown player {name!r}", f"{locus}.members")
+                raise ScenarioError(f"unknown player {name!r}", f"{locus}.members")
             bit = 1 << order[name]
             if mask & bit:
-                raise _fail(f"player {name!r} listed twice", f"{locus}.members")
+                raise ScenarioError(f"player {name!r} listed twice", f"{locus}.members")
             mask |= bit
         if mask in values:
-            raise _fail(
+            raise ScenarioError(
                 "duplicate coalition {" + ", ".join(sorted(members)) + "}", f"{locus}.members"
             )
         values[mask] = _parse_number(entry["value"], f"{locus}.value")
@@ -138,11 +132,11 @@ def _parse_coalitions(doc: dict, players: tuple[str, ...]) -> dict[int, Fraction
 def _parse_matrix(raw, labels: tuple[str, ...], locus: str) -> tuple[tuple[Fraction, ...], ...]:
     n = len(labels)
     if not isinstance(raw, list) or len(raw) != n:
-        raise _fail(f"must be a {n}x{n} matrix (rows over {', '.join(labels)})", locus)
+        raise ScenarioError(f"must be a {n}x{n} matrix (rows over {', '.join(labels)})", locus)
     rows = []
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != n:
-            raise _fail(f"row must have {n} entries", f"{locus}[{i}]")
+            raise ScenarioError(f"row must have {n} entries", f"{locus}[{i}]")
         rows.append(tuple(_parse_number(x, f"{locus}[{i}][{j}]") for j, x in enumerate(row)))
     return tuple(rows)
 
@@ -152,28 +146,28 @@ def _parse_ahp(doc: dict, players: tuple[str, ...]) -> AhpBlock | None:
     if raw is None:
         return None
     if not isinstance(raw, dict):
-        raise _fail("must be an object", "ahp")
+        raise ScenarioError("must be an object", "ahp")
     unknown = set(raw) - {"criteria", "criteria_matrix", "alternatives"}
     if unknown:
-        raise _fail(f"unknown keys {sorted(unknown)}", "ahp")
+        raise ScenarioError(f"unknown keys {sorted(unknown)}", "ahp")
     criteria = raw.get("criteria")
     if not isinstance(criteria, list) or not criteria:
-        raise _fail("must be a non-empty list of labels", "ahp.criteria")
+        raise ScenarioError("must be a non-empty list of labels", "ahp.criteria")
     if any(not isinstance(c, str) or not c for c in criteria):
-        raise _fail("criterion labels must be non-empty strings", "ahp.criteria")
+        raise ScenarioError("criterion labels must be non-empty strings", "ahp.criteria")
     if len(set(criteria)) != len(criteria):
-        raise _fail("criterion labels must be unique", "ahp.criteria")
+        raise ScenarioError("criterion labels must be unique", "ahp.criteria")
     criteria = tuple(criteria)
     matrix = _parse_matrix(raw.get("criteria_matrix"), criteria, "ahp.criteria_matrix")
     alternatives = raw.get("alternatives")
     if not isinstance(alternatives, dict):
-        raise _fail("must map every criterion to a matrix or a score map", "ahp.alternatives")
+        raise ScenarioError("must map every criterion to a matrix or a score map", "ahp.alternatives")
     unknown = set(alternatives) - set(criteria)
     if unknown:
-        raise _fail(f"unknown criteria {sorted(unknown)}", "ahp.alternatives")
+        raise ScenarioError(f"unknown criteria {sorted(unknown)}", "ahp.alternatives")
     missing = [c for c in criteria if c not in alternatives]
     if missing:
-        raise _fail(f"missing entries for criteria {missing}", "ahp.alternatives")
+        raise ScenarioError(f"missing entries for criteria {missing}", "ahp.alternatives")
     matrices: dict[str, tuple[tuple[Fraction, ...], ...]] = {}
     scores: dict[str, tuple[Fraction, ...]] = {}
     for label in criteria:
@@ -183,10 +177,10 @@ def _parse_ahp(doc: dict, players: tuple[str, ...]) -> AhpBlock | None:
             matrices[label] = _parse_matrix(entry, players, locus)
         elif isinstance(entry, dict):
             if set(entry) != set(players):
-                raise _fail("score map keys must be exactly the players", locus)
+                raise ScenarioError("score map keys must be exactly the players", locus)
             scores[label] = tuple(_parse_number(entry[p], f"{locus}.{p}") for p in players)
         else:
-            raise _fail("must be a matrix (list of rows) or a player->score map", locus)
+            raise ScenarioError("must be a matrix (list of rows) or a player->score map", locus)
     return AhpBlock(
         criteria=criteria,
         criteria_matrix=matrix,
@@ -206,10 +200,10 @@ def parse_scenario(text: str) -> ScenarioFile:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON: {exc.msg}", f"line {exc.lineno}, column {exc.colno}") from None
     if not isinstance(doc, dict):
-        raise _fail("the top level must be an object", "document")
+        raise ScenarioError("the top level must be an object", "document")
     unknown = set(doc) - {"players", "coalitions", "factors", "mode", "normalize_factors", "ahp"}
     if unknown:
-        raise _fail(f"unknown keys {sorted(unknown)}", "document")
+        raise ScenarioError(f"unknown keys {sorted(unknown)}", "document")
     players = _parse_players(doc)
     values = _parse_coalitions(doc, players)
 
@@ -217,25 +211,25 @@ def parse_scenario(text: str) -> ScenarioFile:
     raw_factors = doc.get("factors")
     if raw_factors is not None:
         if not isinstance(raw_factors, dict):
-            raise _fail("must map every player to a factor", "factors")
+            raise ScenarioError("must map every player to a factor", "factors")
         if set(raw_factors) != set(players):
-            raise _fail("factor keys must be exactly the players", "factors")
+            raise ScenarioError("factor keys must be exactly the players", "factors")
         factors = tuple(_parse_number(raw_factors[p], f"factors.{p}") for p in players)
         for p, f in zip(players, factors):
             if f < 0:
-                raise _fail(f"factor for {p!r} is negative", f"factors.{p}")
+                raise ScenarioError(f"factor for {p!r} is negative", f"factors.{p}")
 
     mode = doc.get("mode")
     if mode is not None and mode not in MODES:
-        raise _fail(f"must be one of {MODES}", "mode")
+        raise ScenarioError(f"must be one of {MODES}", "mode")
 
     normalize = doc.get("normalize_factors", False)
     if not isinstance(normalize, bool):
-        raise _fail("must be true or false", "normalize_factors")
+        raise ScenarioError("must be true or false", "normalize_factors")
 
     ahp = _parse_ahp(doc, players)
     if factors is not None and ahp is not None:
-        raise _fail("at most one of 'factors' and 'ahp' may be present", "document")
+        raise ScenarioError("at most one of 'factors' and 'ahp' may be present", "document")
 
     return ScenarioFile(
         players=players,

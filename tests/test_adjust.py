@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from chainshare import adjust
 from chainshare.adjust import (
     AdjustmentFactors,
     adjusted_shapley,
@@ -196,6 +197,16 @@ def test_adjusted_equals_classical_plus_delta(case_game):
         adjusted.base.payoffs, adjusted.adjustments, adjusted.adjusted_payoffs
     ):
         assert final == base + delta
+
+
+@pytest.mark.parametrize("mode", ["eq3", "grand"])
+def test_adjusted_reads_the_exact_kernel_once(case_game, mode, monkeypatch):
+    calls = []
+    kernel = adjust._payoffs_and_levers
+    monkeypatch.setattr(adjust, "_payoffs_and_levers", lambda game: calls.append(game) or kernel(game))
+    adjusted = adjusted_shapley(case_game, case_factors(), mode)
+    assert calls == [case_game]
+    assert adjusted.base == shapley_exact(case_game)
 
 
 def test_alignment_error(case_game):

@@ -149,7 +149,7 @@ def test_ahp_synthesize_gate_failure(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "consistency gate failed" in err
-    assert "CR = " in err
+    assert err.count("CR = ") == 1  # stated once, not repeated in a suffix
 
 
 def test_sample_deterministic(capsys):
@@ -188,6 +188,28 @@ def test_output_file(tmp_path, capsys):
     code, out, _ = run(capsys, "shapley", CASE_PATH, "--format", "csv", "--output", str(target))
     assert code == 0 and out == ""
     assert target.read_bytes() == SHAPLEY_CSV.encode()
+
+
+def test_output_to_directory_exits_one(tmp_path, capsys):
+    code, out, err = run(capsys, "shapley", CASE_PATH, "--output", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sample_workers_below_one_is_usage_error(capsys, workers):
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", CASE_PATH, "--workers", workers])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--workers" in captured.err
+
+
+def test_sample_zero_permutations_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "sample", CASE_PATH, "--permutations", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
 
 
 def test_missing_file_exits_one(capsys):

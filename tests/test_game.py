@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from chainshare.adjust import weighted_value_sums
 from chainshare.errors import EnumerationBoundError, IncompleteGameError
 from chainshare.game import (
     CharacteristicFunction,
@@ -11,12 +12,13 @@ from chainshare.game import (
     PlayerSet,
     coalition_weight,
     shapley_exact,
+    shapley_terms,
     validate_game,
 )
-from chainshare.rational import format_fixed
+from chainshare.rational import format_fixed, parse_rational
 
 from .conftest import CASE_CLASSICAL, CASE_VALUES
-from .oracles import as_from_values, permutation_shapley, random_game_table
+from .oracles import as_from_values, per_player_lever, permutation_shapley, random_game_table
 
 
 def test_coalition_weight_three_player_terms():
@@ -145,7 +147,8 @@ def test_linearity_axioms(seed):
 def test_terms_audit_trail(case_game):
     allocation = shapley_exact(case_game)
     n = case_game.n
-    for i, player_terms in enumerate(allocation.terms):
+    for i, player in enumerate(case_game.player_set):
+        player_terms = shapley_terms(case_game, player)
         assert len(player_terms) == 2 ** (n - 1)
         assert sum((t.weight for t in player_terms), Fraction(0)) == 1
         assert sum((t.weight * t.marginal for t in player_terms), Fraction(0)) == allocation.payoffs[i]
@@ -275,3 +278,49 @@ def test_validate_game_counts_every_pair():
     # pairs: 3 singleton-singleton, 3 singleton-pair, and {a}{b,c} style
     # double counts excluded; total disjoint unordered pairs = 6.
     assert len(report.violations) == 6
+
+
+def mixed_value(rng: random.Random) -> str:
+    """A decimal, a p/q ratio or an integer, each possibly negative."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return f"{rng.choice('-+')}{rng.randint(0, 9999)}.{rng.randint(0, 999):03d}"
+    if kind == 1:
+        return f"{rng.randint(-9999, 9999)}/{rng.randint(1, 97)}"
+    return str(rng.randint(-9999, 9999))
+
+
+def term_sum(game: CharacteristicFunction, player: str) -> Fraction:
+    return sum((t.weight * t.marginal for t in shapley_terms(game, player)), Fraction(0))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_kernel_matches_references_on_mixed_denominators(n):
+    rng = random.Random(300 + n)
+    players = tuple(f"p{i}" for i in range(n))
+    table = {s: parse_rational(mixed_value(rng)) for s in random_game_table(rng, players)}
+    game = CharacteristicFunction.from_values(players, as_from_values(table))
+    payoffs = shapley_exact(game).as_dict()
+    # The n! arrival orders take 2.5 s at n = 8 and 26 s at n = 9, so the
+    # two widest games are checked against the per-term audit instead.
+    if n <= 7:
+        assert payoffs == permutation_shapley(players, table)
+    else:
+        assert payoffs == {p: term_sum(game, p) for p in players}
+    assert dict(zip(players, weighted_value_sums(game))) == per_player_lever(players, table)
+    assert sum(payoffs.values()) == table[frozenset(players)]
+
+
+def test_kernel_exact_with_distinct_prime_denominators():
+    players = tuple(f"p{i}" for i in range(8))
+    primes = [p for p in range(2, 2000) if all(p % d for d in range(2, int(p**0.5) + 1))][:255]
+    rng = random.Random(11)
+    table = {
+        s: Fraction(rng.randint(-10**6, 10**6), prime)
+        for s, prime in zip(random_game_table(rng, players), primes, strict=True)
+    }
+    game = CharacteristicFunction.from_values(players, as_from_values(table))
+    allocation = shapley_exact(game)
+    assert allocation.as_dict() == {p: term_sum(game, p) for p in players}
+    assert allocation.total == table[frozenset(players)]
+    assert dict(zip(players, weighted_value_sums(game))) == per_player_lever(players, table)
