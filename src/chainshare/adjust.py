@@ -92,7 +92,7 @@ def compute_deltas(
     total = sum(raw, Fraction(0))
     if normalize:
         if total <= 0:
-            raise ValueError("cannot normalize factors that sum to zero")
+            raise FactorSumError(total, tolerance, "factors that sum to zero cannot be normalized")
         raw = [value / total for value in raw]
     elif abs(total - 1) > tolerance:
         raise FactorSumError(total, tolerance)

@@ -33,14 +33,14 @@ class AlignmentError(ChainshareError):
 
 
 class FactorSumError(ChainshareError):
-    """Raw adjustment factors do not sum to 1 within tolerance."""
+    """Raw adjustment factors do not sum to 1 within tolerance, or cannot be normalized."""
 
-    def __init__(self, total, tolerance):
+    def __init__(self, total, tolerance, remedy="pass normalize=True to rescale"):
         self.total = total
         self.tolerance = tolerance
         super().__init__(
             f"adjustment factors sum to {float(total):.6f}, outside "
-            f"1 +/- {float(tolerance)}; pass normalize=True to rescale"
+            f"1 +/- {float(tolerance)}; {remedy}"
         )
 
 

@@ -8,18 +8,37 @@ ints, Decimals, or floats; every conversion here is exact.
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 RationalLike = int | str | Fraction | Decimal | float
+
+# Digits a number string may need, in each side of a ratio or in a decimal's
+# expansion: more make integers too large to build or print. exact_decimal
+# writes no longer expansion, so serialized scenarios parse again.
+MAX_DIGITS = 1000
+
+
+def _check_size(text: str) -> None:
+    if len(text) <= MAX_DIGITS and "e" not in text and "E" not in text:
+        return
+    for side in text.split("/"):
+        try:
+            number = Decimal(side)
+        except InvalidOperation:
+            raise ValueError(f"not a number within {MAX_DIGITS} digits: {text[:40]!r}") from None
+        _, digits, exponent = number.as_tuple()
+        if number.is_finite() and max(len(digits) + exponent, 1) + max(-exponent, 0) > MAX_DIGITS:
+            raise ValueError(f"number needs more than {MAX_DIGITS} digits")
 
 
 def parse_rational(value: RationalLike) -> Fraction:
     """Convert ``value`` to an exact Fraction.
 
     Strings may be decimal ("1000", "-3.25", "0.6648") or a ratio of
-    integers ("4150/3"). Floats convert exactly (a float is a dyadic
-    rational); no rounding happens here.
+    integers ("4150/3") that need at most ``MAX_DIGITS`` digits. Floats
+    convert exactly (a float is a dyadic rational); no rounding happens
+    here.
     """
     if isinstance(value, bool):
         raise TypeError("booleans are not rational values")
@@ -31,6 +50,7 @@ def parse_rational(value: RationalLike) -> Fraction:
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"not a finite number: {value!r}") from exc
     if isinstance(value, str):
+        _check_size(value)
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -42,7 +62,8 @@ def exact_decimal(value: Fraction) -> str | None:
     """Shortest exact decimal form, or None when one does not exist.
 
     A fraction has a finite decimal expansion iff its reduced denominator
-    is of the form 2**a * 5**b.
+    is of the form 2**a * 5**b. A non-integer expansion with more than
+    ``MAX_DIGITS`` digits counts as none.
     """
     den = value.denominator
     twos = 0
@@ -61,6 +82,8 @@ def exact_decimal(value: Fraction) -> str | None:
         return str(scaled)
     sign = "-" if scaled < 0 else ""
     digits = str(abs(scaled)).rjust(places + 1, "0")
+    if len(digits) > MAX_DIGITS:
+        return None
     whole, frac = digits[:-places], digits[-places:]
     frac = frac.rstrip("0")
     return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"

@@ -8,6 +8,8 @@ as exact strings alongside float approximations.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -158,42 +160,40 @@ def render_table(doc: ReportDocument) -> str:
 
 
 def render_csv(doc: ReportDocument) -> str:
-    lines = [CSV_HEADERS[doc.kind]]
+    rows = [CSV_HEADERS[doc.kind].split(",")]
     if doc.kind == "shapley":
         for p, v in zip(doc.players, doc.classical.payoffs):
-            lines.append(f"{p},{_fixed(v)}")
+            rows.append([p, _fixed(v)])
     elif doc.kind == "allocate":
         adj = doc.adjusted
         for i, p in enumerate(doc.players):
-            lines.append(
-                f"{p},{_fixed(adj.base.payoffs[i])},{_fixed(adj.adjusted_payoffs[i])},"
-                f"{_fixed(adj.factors.deviations[i])},{_fixed(adj.adjustments[i])}"
-            )
+            rows.append([
+                p, _fixed(adj.base.payoffs[i]), _fixed(adj.adjusted_payoffs[i]),
+                _fixed(adj.factors.deviations[i]), _fixed(adj.adjustments[i]),
+            ])
     elif doc.kind == "ahp-weights":
         wv = doc.hierarchy.criteria_weights
         for c, w in zip(wv.labels, wv.w):
-            lines.append(f"{c},{_fixed(w)}")
+            rows.append([c, _fixed(w)])
     elif doc.kind == "ahp-synthesize":
         for p, f, d in zip(doc.players, doc.factors.factors, doc.factors.deviations):
-            lines.append(f"{p},{_fixed(f)},{_fixed(d)}")
+            rows.append([p, _fixed(f), _fixed(d)])
     elif doc.kind == "sample":
         est = doc.estimates
         for p, e, se in zip(doc.players, est.estimates, est.std_error):
-            lines.append(f"{p},{_fixed(e)},{_fixed(se)}")
+            rows.append([p, _fixed(e), _fixed(se)])
     elif doc.kind == "validate":
         for v in doc.validation.violations:
-            lines.append(
-                ",".join(
-                    [
-                        "+".join(v.left.members),
-                        "+".join(v.right.members),
-                        _fixed(v.left_value),
-                        _fixed(v.right_value),
-                        _fixed(v.union_value),
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
+            rows.append([
+                "+".join(v.left.members),
+                "+".join(v.right.members),
+                _fixed(v.left_value),
+                _fixed(v.right_value),
+                _fixed(v.union_value),
+            ])
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def _num(value: Fraction) -> dict:

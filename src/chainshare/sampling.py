@@ -6,16 +6,21 @@ chunks; chunk c draws its permutations from an RNG stream derived from
 (seed, c), so the output is a pure function of (oracle, players, plan)
 regardless of how many workers execute the chunks.
 
-Marginal contributions are aggregated as exact rationals (each distinct
-(prefix, player) step is counted, then evaluated once), which keeps the
-per-permutation telescoping identity exact: the estimates always sum to
-v(N) - v(empty), an equality, not a tolerance.
+One pass serves every game width. Worker threads draw the chunks and
+count each one's distinct (prefix, player) steps, with prefix masks held
+as ceil(n/64) uint64 words. The counts merge in chunk order into one
+table for the whole run, and the oracle is called on the caller's
+thread, once per distinct coalition. Each distinct step then adds its
+count times its marginal (and squared marginal) in exact rationals, so
+the estimates always sum to v(N) - v(empty), an equality, not a
+tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -26,10 +31,7 @@ from .errors import OracleError, SamplingPlanError
 from .game import Coalition, PlayerSet
 from .rational import parse_rational
 
-# Prefix mask and player index pack into one uint64 key on the
-# vectorized path; wider games fall back to plain Python masks.
-VECTOR_MAX_PLAYERS = 57
-_PLAYER_BITS = 6
+_WORD_BITS = 64
 
 DEFAULT_CHUNK_SIZE = 4096
 
@@ -67,90 +69,64 @@ class EstimateReport:
     rng: str
 
 
-class _OracleTable:
-    """Memoized exact values of the coalition oracle, keyed by mask."""
+def _count_steps(n: int, seed: int, chunk_index: int, count: int):
+    """Draw chunk ``chunk_index`` and count its distinct (prefix, player) steps.
 
-    def __init__(self, oracle: Callable, player_set: PlayerSet):
-        self.oracle = oracle
-        self.player_set = player_set
-        self.cache: dict[int, Fraction] = {}
-
-    def value(self, mask: int, permutation_index: int) -> Fraction:
-        cached = self.cache.get(mask)
-        if cached is not None:
-            return cached
-        try:
-            raw = self.oracle(Coalition(self.player_set, mask))
-            value = parse_rational(raw)
-        except Exception as exc:
-            raise OracleError(permutation_index, exc) from exc
-        self.cache[mask] = value
-        return value
-
-
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
-
-
-def _count_steps_vector(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Count distinct (prefix-mask, player) steps in a block of permutations.
-
-    Rows of a permutation contribute distinct power-of-two bits, so a
+    Prefix masks are held as ceil(n/64) little-endian uint64 words.
+    Players within one word contribute distinct power-of-two bits, so a
     cumulative sum along the row is the cumulative OR of prefixes.
+    Returns each distinct step's player, its mask words, the flat index
+    of its first occurrence and its count, sorted by mask, then player.
     """
-    bits = np.left_shift(np.uint64(1), perms)
-    after = np.cumsum(bits, axis=1, dtype=np.uint64)
-    before = after - bits
-    keys = np.left_shift(before, np.uint64(_PLAYER_BITS)) | perms
-    return np.unique(keys.ravel(), return_index=True, return_counts=True)
-
-
-def _count_steps_python(perms: np.ndarray) -> dict[tuple[int, int], tuple[int, int]]:
-    """Python fallback for games too wide for uint64 prefix masks."""
-    counts: dict[tuple[int, int], tuple[int, int]] = {}
-    for row_index, row in enumerate(perms.tolist()):
-        mask = 0
-        for position, player in enumerate(row):
-            key = (mask, player)
-            hit = counts.get(key)
-            if hit is None:
-                counts[key] = (1, row_index * len(row) + position)
-            else:
-                counts[key] = (hit[0] + 1, hit[1])
-            mask |= 1 << player
-    return counts
-
-
-def _chunk_totals(
-    n: int,
-    table: _OracleTable,
-    plan: SamplingPlan,
-    chunk_index: int,
-    count: int,
-    chunk_start: int,
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Exact per-player sums of marginals and squared marginals for one chunk."""
-    rng = _chunk_rng(plan.seed, chunk_index)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
     perms = rng.permuted(np.tile(np.arange(n, dtype=np.uint64), (count, 1)), axis=1)
-    totals = [Fraction(0)] * n
-    squares = [Fraction(0)] * n
-    if n <= VECTOR_MAX_PLAYERS:
-        keys, first_seen, occurrences = _count_steps_vector(perms)
-        steps = (
-            (int(key) >> _PLAYER_BITS, int(key) & ((1 << _PLAYER_BITS) - 1), int(c), int(f))
-            for key, c, f in zip(keys, occurrences, first_seen)
-        )
-    else:
-        counted = _count_steps_python(perms)
-        steps = ((mask, player, c, f) for (mask, player), (c, f) in counted.items())
-    for mask, player, c, flat_index in steps:
-        permutation_index = chunk_start + flat_index // n
-        with_player = table.value(mask | 1 << player, permutation_index)
-        without = table.value(mask, permutation_index)
-        marginal = with_player - without
-        totals[player] += c * marginal
-        squares[player] += c * marginal * marginal
-    return totals, squares
+    width = np.uint64(_WORD_BITS)
+    words = []
+    for word in range(-(-n // _WORD_BITS)):
+        bits = np.where(perms // width == word, np.uint64(1) << perms % width, np.uint64(0))
+        prefix = np.cumsum(bits, axis=1, dtype=np.uint64)
+        prefix -= bits
+        words.append(prefix.ravel())
+    players = perms.ravel()
+    del perms, bits, prefix
+    # lexsort's last key is the primary one: the most significant word.
+    order = np.lexsort((players, *words))
+    players = players[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = players[1:] != players[:-1]
+    for k, word in enumerate(words):
+        words[k] = word = word[order]
+        new[1:] |= word[1:] != word[:-1]
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=order.size)
+    return players[starts], [word[starts] for word in words], order[starts], counts
+
+
+def _merge_steps(
+    steps: dict, values: dict, oracle: Callable, players: PlayerSet, chunk_start: int, counting: Future
+) -> None:
+    """Add a chunk's counted steps to the run's (mask, player) -> count table.
+
+    The oracle is asked for both coalitions of a step new to the run, so it
+    sees coalitions in chunk order, then mask and player order, each once.
+    """
+    step_players, words, first, counts = counting.result()
+    masks = words[0].tolist()
+    for k in range(1, len(words)):
+        masks = [low | high << (_WORD_BITS * k) for low, high in zip(masks, words[k].tolist())]
+    permutations = (first // players.n + chunk_start).tolist()
+    for mask, player, c, permutation in zip(masks, step_players.tolist(), counts.tolist(), permutations):
+        key = (mask, player)
+        if key in steps:
+            steps[key] += c
+            continue
+        steps[key] = c
+        for coalition in (mask | 1 << player, mask):
+            if coalition not in values:
+                try:
+                    values[coalition] = parse_rational(oracle(Coalition(players, coalition)))
+                except Exception as exc:
+                    raise OracleError(permutation, exc) from exc
 
 
 def sample_shapley(
@@ -164,46 +140,41 @@ def sample_shapley(
 
     ``oracle`` is a pure callable from :class:`Coalition` to a value
     (int, Fraction, Decimal, decimal string, or float); a
-    :class:`chainshare.game.CharacteristicFunction` works directly. The
+    :class:`chainshare.game.CharacteristicFunction` works directly. It
+    is called on the calling thread only, once per distinct coalition,
+    so it need not be thread-safe. ``workers`` threads draw and count
+    chunks; at most ``workers`` counted chunks are held at once. The
     report is identical for identical (players, plan) inputs whatever
-    ``workers`` is; chunks merge in index order by exact summation.
+    ``workers`` is; chunks merge in index order.
     """
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     n = players.n
     m = plan.permutations
-    table = _OracleTable(oracle, players)
-    chunk_count = math.ceil(m / plan.chunk_size)
-    jobs = []
-    start = 0
-    for chunk_index in range(chunk_count):
-        count = min(plan.chunk_size, m - start)
-        jobs.append((chunk_index, count, start))
-        start += count
-    if workers == 1 or chunk_count == 1:
-        results = [_chunk_totals(n, table, plan, *job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_chunk_totals, n, table, plan, *job) for job in jobs]
-            results = [f.result() for f in futures]
+    values: dict[int, Fraction] = {}
+    steps: dict[tuple[int, int], int] = {}
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending: deque = deque()
+        for chunk_index, chunk_start in enumerate(range(0, m, plan.chunk_size)):
+            if len(pending) == workers:
+                _merge_steps(steps, values, oracle, players, *pending.popleft())
+            count = min(plan.chunk_size, m - chunk_start)
+            pending.append((chunk_start, pool.submit(_count_steps, n, plan.seed, chunk_index, count)))
+        for chunk in pending:
+            _merge_steps(steps, values, oracle, players, *chunk)
     totals = [Fraction(0)] * n
     squares = [Fraction(0)] * n
-    for chunk_total, chunk_squares in results:
-        for i in range(n):
-            totals[i] += chunk_total[i]
-            squares[i] += chunk_squares[i]
-    estimates = tuple(t / m for t in totals)
-    if m > 1:
-        std_error = tuple(
-            math.sqrt(float((sq - t * t / m) / (m - 1) / m))
-            for sq, t in zip(squares, totals)
-        )
-    else:
-        std_error = tuple(0.0 for _ in range(n))
+    for (mask, player), c in steps.items():
+        marginal = values[mask | 1 << player] - values[mask]
+        totals[player] += c * marginal
+        squares[player] += c * marginal * marginal
     return EstimateReport(
         player_set=players,
-        estimates=estimates,
-        std_error=std_error,
+        estimates=tuple(t / m for t in totals),
+        # with one permutation sq == t * t, so the error is 0
+        std_error=tuple(
+            math.sqrt(float((sq - t * t / m) / max(m - 1, 1) / m)) for sq, t in zip(squares, totals)
+        ),
         m=m,
         rng=f"numpy.random.PCG64 via SeedSequence(seed, spawn_key=(chunk,)), numpy=={np.__version__}",
     )

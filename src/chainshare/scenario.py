@@ -78,8 +78,8 @@ def _parse_number(raw, locus: str) -> Fraction:
             "write values like \"1000\" or \"0.6648\" to keep them exact",
             locus,
         )
-    try:
-        return parse_rational(raw)
+    try:  # ints take the string path too, so the size bound covers them
+        return parse_rational(str(raw))
     except ValueError as exc:
         raise ScenarioError(str(exc), locus) from None
 
@@ -199,6 +199,8 @@ def parse_scenario(text: str) -> ScenarioFile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON: {exc.msg}", f"line {exc.lineno}, column {exc.colno}") from None
+    except ValueError as exc:  # an integer literal longer than Python will convert
+        raise ScenarioError(str(exc), "document") from None
     if not isinstance(doc, dict):
         raise ScenarioError("the top level must be an object", "document")
     unknown = set(doc) - {"players", "coalitions", "factors", "mode", "normalize_factors", "ahp"}
@@ -308,9 +310,12 @@ def scenario_hierarchy(sf: ScenarioFile, *, method: str = "power") -> CriteriaHi
                 sf.players, [[float(x) for x in row] for row in block.alternative_matrices[label]]
             )
         else:
-            alternatives[label] = WeightVector(
-                sf.players, tuple(float(x) for x in block.alternative_scores[label])
-            )
+            try:
+                alternatives[label] = WeightVector(
+                    sf.players, tuple(float(x) for x in block.alternative_scores[label])
+                )
+            except ValueError as exc:
+                raise ScenarioError(str(exc), f"ahp.alternatives.{label}") from None
     return CriteriaHierarchy.from_matrices(criteria, alternatives, method=method)
 
 

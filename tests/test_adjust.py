@@ -60,7 +60,7 @@ def test_normalize_rescales_to_exact_one():
     assert factors.total == 1
     assert factors.factors[0] == Fraction(6648, 9984)
     assert factors.deviations[0] == Fraction(6648, 9984) - Fraction(1, 3)
-    with pytest.raises(ValueError, match="normalize"):
+    with pytest.raises(FactorSumError, match="normalize"):
         compute_deltas([0, 0], 2, normalize=True)
 
 

@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -271,3 +274,61 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def write_scenario(tmp_path, players, **extra) -> str:
+    coalitions = [
+        {"members": [p for i, p in enumerate(players) if mask >> i & 1], "value": str(10 * mask)}
+        for mask in range(1, 1 << len(players))
+    ]
+    path = tmp_path / "case.scenario"
+    path.write_text(json.dumps({"players": players, "coalitions": coalitions, **extra}))
+    return str(path)
+
+
+def assert_one_error_line(code, out, err, *fragments):
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_all_zero_factors_with_normalize_exits_one(tmp_path, capsys):
+    path = write_scenario(tmp_path, ["A", "B"], factors={"A": "0", "B": "0.00"}, normalize_factors=True)
+    assert_one_error_line(*run(capsys, "allocate", path), "sum to zero")
+
+
+def test_score_map_not_summing_to_one_exits_one(tmp_path, capsys):
+    path = write_scenario(tmp_path, ["A", "B", "C"], ahp={
+        "criteria": ["R1"],
+        "criteria_matrix": [["1"]],
+        "alternatives": {"R1": {"A": "0.5", "B": "0.5", "C": "0.5"}},
+    })
+    for command in (["ahp", "synthesize"], ["ahp", "weights"], ["allocate"]):
+        assert_one_error_line(*run(capsys, *command, path), "ahp.alternatives.R1")
+
+
+@pytest.mark.parametrize("value", ["1e300000", "-2.5E+999999999999999999", "1" * 1001, "1/" + "3" * 1001, 10**1000])
+def test_oversized_number_exits_one(tmp_path, capsys, value):
+    path = Path(write_scenario(tmp_path, ["A", "B"]))
+    doc = json.loads(path.read_text())
+    doc["coalitions"][2]["value"] = value
+    path.write_text(json.dumps(doc))
+    assert_one_error_line(*run(capsys, "shapley", str(path), "--format", "csv"), "coalitions[2].value")
+
+
+def test_oversized_json_integer_exits_one(tmp_path, capsys):
+    path = tmp_path / "huge.scenario"
+    path.write_text('{"players": ["A"], "coalitions": [{"members": ["A"], "value": ' + "9" * 5000 + "}]}")
+    assert_one_error_line(*run(capsys, "shapley", str(path)), "document")
+
+
+@pytest.mark.parametrize("command", [["shapley"], ["sample", "--permutations", "50"]])
+def test_csv_quotes_names_with_separators(tmp_path, capsys, command):
+    players = ["A,x", 'B "quoted"', "C\nline", "D"]
+    path = write_scenario(tmp_path, players)
+    code, out, _ = run(capsys, command[0], path, *command[1:], "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [row[0] for row in rows[1:]] == players
+    assert {len(row) for row in rows} == {len(rows[0])}

@@ -19,13 +19,21 @@ from chainshare.rational import exact_decimal, exact_string, format_fixed, parse
         (Decimal("0.10"), Fraction(1, 10)),
         (0.5, Fraction(1, 2)),
         ("1e3", Fraction(1000)),
+        ("1e999", Fraction(10**999)),
+        ("-1E-999", Fraction(-1, 10**999)),
+        ("9" * 1000, Fraction(10**1000 - 1)),
+        ("1_0e9_9_0", Fraction(10**991)),
     ],
 )
 def test_parse_rational(raw, expected):
     assert parse_rational(raw) == expected
 
 
-@pytest.mark.parametrize("raw", ["", "12,5", "x", "1/0", float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "raw",
+    ["", "12,5", "x", "1/0", float("nan"), float("inf"),
+     "1e1000", "1e-1000", "0.5e-999", "1e300000", "1e" + "9" * 5000, "1" * 1001, "1/" + "1" * 1001],
+)
 def test_parse_rational_rejects(raw):
     with pytest.raises(ValueError):
         parse_rational(raw)
@@ -54,6 +62,12 @@ def test_parse_rational_rejects_bools_and_objects():
 def test_exact_decimal(value, expected):
     assert exact_decimal(value) == expected
     assert parse_rational(expected) == value
+
+
+def test_exact_decimal_undefined_beyond_the_size_bound():
+    assert len(exact_decimal(Fraction(1, 2**999)).replace(".", "")) == 1000
+    assert exact_decimal(Fraction(1, 2**1000)) is None
+    assert exact_string(Fraction(1, 2**1000)) == f"1/{2**1000}"
 
 
 def test_exact_decimal_undefined_for_repeating():

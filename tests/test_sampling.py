@@ -1,10 +1,11 @@
+import math
 import random
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-import chainshare.sampling as sampling
 from chainshare.errors import OracleError, SamplingPlanError
 from chainshare.game import CharacteristicFunction, PlayerSet, shapley_exact
 from chainshare.sampling import EstimateReport, SamplingPlan, sample_shapley
@@ -75,12 +76,64 @@ def test_error_shrinks_with_more_permutations():
     assert mean_errors[0] > mean_errors[1] > mean_errors[2]
 
 
-def test_python_fallback_matches_vectorized(case_game, monkeypatch):
-    plan = SamplingPlan(permutations=3_000, seed=21, chunk_size=512)
-    fast = sample_shapley(case_game, case_game.player_set, plan)
-    monkeypatch.setattr(sampling, "VECTOR_MAX_PLAYERS", 0)
-    slow = sample_shapley(case_game, case_game.player_set, plan)
-    assert fast == slow
+def _mixing_value(mask: int) -> Fraction:
+    """A non-additive coalition value, so marginals vary with the prefix."""
+    h = (mask * 2654435761 + 12345) % 1_000_003
+    return Fraction(h % 997, 1 + h % 11) + mask.bit_count() ** 2
+
+
+def _reference_report(n: int, plan: SamplingPlan) -> tuple[tuple[Fraction, ...], tuple[float, ...]]:
+    """Estimates and standard errors from the documented stream, one permutation at a time.
+
+    Chunk c holds ``chunk_size`` permutations (the last one may be short),
+    drawn by PCG64 seeded with SeedSequence(entropy=seed, spawn_key=(c,)).
+    """
+    m = plan.permutations
+    totals = [Fraction(0)] * n
+    squares = [Fraction(0)] * n
+    for chunk, start in enumerate(range(0, m, plan.chunk_size)):
+        count = min(plan.chunk_size, m - start)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=plan.seed, spawn_key=(chunk,))))
+        for order in rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1).tolist():
+            mask = 0
+            before = _mixing_value(mask)
+            for player in order:
+                mask |= 1 << player
+                after = _mixing_value(mask)
+                totals[player] += after - before
+                squares[player] += (after - before) ** 2
+                before = after
+    estimates = tuple(t / m for t in totals)
+    std_error = tuple(math.sqrt(float((sq - t * t / m) / (m - 1) / m)) for sq, t in zip(squares, totals))
+    return estimates, std_error
+
+
+@pytest.mark.parametrize(
+    "n, permutations, chunk_size",
+    [(3, 500, 64), (57, 60, 16), (58, 60, 16), (64, 45, 7), (65, 45, 20), (130, 25, 10)],
+)
+def test_every_width_matches_the_permutation_reference(n, permutations, chunk_size):
+    players = PlayerSet(tuple(f"p{i}" for i in range(n)))
+    plan = SamplingPlan(permutations, seed=1000 + n, chunk_size=chunk_size)
+    expected = _reference_report(n, plan)
+    for workers in (1, 3):
+        report = sample_shapley(lambda c: _mixing_value(c.mask), players, plan, workers=workers)
+        assert (report.estimates, report.std_error) == expected
+
+
+def test_oracle_runs_once_per_coalition_on_the_calling_thread():
+    players = PlayerSet(tuple(f"p{i}" for i in range(6)))
+    threads = []
+    masks = []
+
+    def oracle(coalition):
+        threads.append(threading.get_ident())
+        masks.append(coalition.mask)
+        return _mixing_value(coalition.mask)
+
+    sample_shapley(oracle, players, SamplingPlan(3_000, seed=4, chunk_size=100), workers=4)
+    assert set(threads) == {threading.get_ident()}
+    assert len(masks) == len(set(masks)) == 2**6
 
 
 def test_wide_game_beyond_mask_width():

@@ -94,6 +94,15 @@ def test_round_trip_with_every_optional():
     assert parse_scenario(serialize_scenario(sf)) == sf
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["9" * 1000, "1e999", "-1E-999", "0." + "1" * 999, "7/" + str(2**3000), str(10**999 + 1) + "/1024"],
+)
+def test_round_trip_at_the_number_size_bound(value):
+    sf = parse_scenario(doc(coalitions=[{"members": ["A", "B"], "value": value}]))
+    assert parse_scenario(serialize_scenario(sf)) == sf
+
+
 def test_serialize_canonicalizes_member_order():
     text = doc(coalitions=[
         {"members": ["B", "A"], "value": "20"},
