@@ -31,6 +31,7 @@ from .errors import (
     ConsistencyGateError,
     EnumerationBoundError,
     FactorSumError,
+    FloatRangeError,
     IncompleteGameError,
     IterationLimitError,
     MatrixValidationError,
@@ -80,6 +81,7 @@ __all__ = [
     "EnumerationBoundError",
     "EstimateReport",
     "FactorSumError",
+    "FloatRangeError",
     "IncompleteGameError",
     "IterationLimitError",
     "MatrixValidationError",

@@ -8,6 +8,7 @@ validate. Exit codes: 0 success, 1 validation or domain failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -121,8 +122,18 @@ def _run(args: argparse.Namespace) -> tuple[ReportDocument, int]:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(build) -> argparse.ArgumentParser:
+    """The parser from ``build``, made once: building costs far more than a parse.
+
+    Keyed on the builder, so a substituted ``build_parser`` is used, and
+    ``build_parser()`` itself still returns a new parser that a caller may change.
+    """
+    return build()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser(build_parser)
     args = parser.parse_args(argv)
     if args.command == "sample" and args.workers < 1:
         parser.error(f"argument --workers: must be at least 1, got {args.workers}")

@@ -1,5 +1,7 @@
 """Exception types raised by the allocation and weighting engines."""
 
+from .rational import format_fixed
+
 
 class ChainshareError(Exception):
     """Base class for every domain failure raised by this package."""
@@ -39,7 +41,7 @@ class FactorSumError(ChainshareError):
         self.total = total
         self.tolerance = tolerance
         super().__init__(
-            f"adjustment factors sum to {float(total):.6f}, outside "
+            f"adjustment factors sum to {format_fixed(total, 6)}, outside "
             f"1 +/- {float(tolerance)}; {remedy}"
         )
 
@@ -74,6 +76,13 @@ class ConsistencyGateError(ChainshareError):
 
 class SamplingPlanError(ChainshareError):
     """A sampling plan has an invalid permutation count, seed, or chunk size."""
+
+
+class FloatRangeError(ChainshareError):
+    """A result reported as a float lies beyond the float range (about 1.8e308)."""
+
+    def __init__(self, what: str):
+        super().__init__(f"{what} lies beyond the float range (about 1.8e308)")
 
 
 class OracleError(ChainshareError):

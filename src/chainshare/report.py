@@ -8,8 +8,6 @@ as exact strings alongside float approximations.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -191,13 +189,26 @@ def render_csv(doc: ReportDocument) -> str:
                 _fixed(v.right_value),
                 _fixed(v.union_value),
             ])
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    return out.getvalue()
+    return "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
+
+
+def _csv_field(text: str) -> str:
+    """Quote a field holding a comma, a quote or a line break, "\r" alone included.
+
+    csv.writer with a "\n" terminator leaves a lone "\r" bare, and
+    csv.reader then ends the record there.
+    """
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _num(value: Fraction) -> dict:
-    return {"exact": exact_string(value), "float": float(value)}
+    try:
+        approx = float(value)
+    except OverflowError:  # beyond about 1.8e308: the exact string alone carries it
+        approx = None
+    return {"exact": exact_string(value), "float": approx}
 
 
 def render_structured(doc: ReportDocument) -> str:

@@ -10,10 +10,12 @@ One pass serves every game width. Worker threads draw the chunks and
 count each one's distinct (prefix, player) steps, with prefix masks held
 as ceil(n/64) uint64 words. The counts merge in chunk order into one
 table for the whole run, and the oracle is called on the caller's
-thread, once per distinct coalition. Each distinct step then adds its
-count times its marginal (and squared marginal) in exact rationals, so
-the estimates always sum to v(N) - v(empty), an equality, not a
-tolerance.
+thread, once per distinct coalition. Each distinct step's marginal is
+then an integer k over the lcm d of its two values' denominators, and
+each player sums c*k and c*k*k as integers per denominator d; only
+those per-(player, d) sums become Fractions, added as a balanced tree.
+The sums are exact, so the estimates always sum to v(N) - v(empty), an
+equality, not a tolerance.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import OracleError, SamplingPlanError
+from .errors import FloatRangeError, OracleError, SamplingPlanError
 from .game import Coalition, PlayerSet
 from .rational import parse_rational
 
@@ -129,6 +131,33 @@ def _merge_steps(
                     raise OracleError(permutation, exc) from exc
 
 
+def _pairwise_sum(terms: list[Fraction]) -> Fraction:
+    """The exact sum of ``terms``, added as a balanced tree.
+
+    Adding many Fractions with unrelated denominators one after another
+    makes every addition work on the whole running denominator; halving
+    keeps most additions between small operands.
+    """
+    if len(terms) <= 2:
+        return sum(terms, Fraction(0))
+    half = len(terms) // 2
+    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+
+
+def _std_error(variance: Fraction, player: str) -> float:
+    """sqrt(variance) as a float, also where ``variance`` is beyond the float range.
+
+    Dividing by 4**k before the float conversion and multiplying the root
+    by 2**k after it are exact; below about 2**1000, k is 0 and this is
+    math.sqrt(float(variance)).
+    """
+    k = max(variance.numerator.bit_length() - variance.denominator.bit_length() - 1000, 0) // 2
+    try:
+        return math.ldexp(math.sqrt(float(variance / 4**k)), k)
+    except OverflowError:
+        raise FloatRangeError(f"standard error of {player!r}") from None
+
+
 def sample_shapley(
     oracle: Callable,
     players: PlayerSet,
@@ -162,18 +191,30 @@ def sample_shapley(
             pending.append((chunk_start, pool.submit(_count_steps, n, plan.seed, chunk_index, count)))
         for chunk in pending:
             _merge_steps(steps, values, oracle, players, *chunk)
-    totals = [Fraction(0)] * n
-    squares = [Fraction(0)] * n
+    # Sums are kept per denominator, not over one lcm of the whole table:
+    # with a distinct prime denominator per coalition that lcm makes every
+    # marginal an int of thousands of digits.
+    sums: list[dict[int, list[int]]] = [{} for _ in range(n)]
     for (mask, player), c in steps.items():
-        marginal = values[mask | 1 << player] - values[mask]
-        totals[player] += c * marginal
-        squares[player] += c * marginal * marginal
+        a = values[mask | 1 << player]
+        b = values[mask]
+        d = math.lcm(a.denominator, b.denominator)
+        k = a.numerator * (d // a.denominator) - b.numerator * (d // b.denominator)
+        entry = sums[player].get(d)
+        if entry is None:  # not setdefault: no throwaway list per step
+            sums[player][d] = [c * k, c * k * k]
+        else:
+            entry[0] += c * k
+            entry[1] += c * k * k
+    totals = [_pairwise_sum([Fraction(t, d) for d, (t, _) in by_den.items()]) for by_den in sums]
+    squares = [_pairwise_sum([Fraction(sq, d * d) for d, (_, sq) in by_den.items()]) for by_den in sums]
     return EstimateReport(
         player_set=players,
         estimates=tuple(t / m for t in totals),
         # with one permutation sq == t * t, so the error is 0
         std_error=tuple(
-            math.sqrt(float((sq - t * t / m) / max(m - 1, 1) / m)) for sq, t in zip(squares, totals)
+            _std_error((sq - t * t / m) / max(m - 1, 1) / m, player)
+            for player, sq, t in zip(players, squares, totals)
         ),
         m=m,
         rng=f"numpy.random.PCG64 via SeedSequence(seed, spawn_key=(chunk,)), numpy=={np.__version__}",

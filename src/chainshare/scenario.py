@@ -295,27 +295,40 @@ def scenario_game(sf: ScenarioFile) -> CharacteristicFunction:
     return CharacteristicFunction(sf.player_set, sf.coalition_values)
 
 
+def _float(value: Fraction, locus: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(
+            "number beyond the float range (about 1.8e308); weights are computed in floats", locus
+        ) from None
+
+
+def _float_rows(rows: tuple[tuple[Fraction, ...], ...], locus: str) -> list[list[float]]:
+    return [[_float(x, f"{locus}[{i}][{j}]") for j, x in enumerate(row)] for i, row in enumerate(rows)]
+
+
 def scenario_hierarchy(sf: ScenarioFile, *, method: str = "power") -> CriteriaHierarchy:
     """Build the criteria hierarchy from a scenario's ahp block."""
     if sf.ahp is None:
         raise ScenarioError("scenario has no 'ahp' section", "ahp")
     block = sf.ahp
-    criteria = ComparisonMatrix(
-        block.criteria, [[float(x) for x in row] for row in block.criteria_matrix]
-    )
+    criteria = ComparisonMatrix(block.criteria, _float_rows(block.criteria_matrix, "ahp.criteria_matrix"))
     alternatives: dict[str, ComparisonMatrix | WeightVector] = {}
     for label in block.criteria:
+        locus = f"ahp.alternatives.{label}"
         if label in block.alternative_matrices:
             alternatives[label] = ComparisonMatrix(
-                sf.players, [[float(x) for x in row] for row in block.alternative_matrices[label]]
+                sf.players, _float_rows(block.alternative_matrices[label], locus)
             )
         else:
+            scores = block.alternative_scores[label]
             try:
                 alternatives[label] = WeightVector(
-                    sf.players, tuple(float(x) for x in block.alternative_scores[label])
+                    sf.players, tuple(_float(x, f"{locus}.{p}") for p, x in zip(sf.players, scores))
                 )
             except ValueError as exc:
-                raise ScenarioError(str(exc), f"ahp.alternatives.{label}") from None
+                raise ScenarioError(str(exc), locus) from None
     return CriteriaHierarchy.from_matrices(criteria, alternatives, method=method)
 
 

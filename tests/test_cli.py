@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from chainshare.cli import main
+from chainshare import cli
+from chainshare.cli import build_parser, main
 from chainshare.scenario import bundled_scenario
 
 CASE_PATH = str(bundled_scenario("paper_case"))
@@ -332,3 +334,90 @@ def test_csv_quotes_names_with_separators(tmp_path, capsys, command):
     rows = list(csv.reader(io.StringIO(out)))
     assert [row[0] for row in rows[1:]] == players
     assert {len(row) for row in rows} == {len(rows[0])}
+
+
+@pytest.mark.parametrize("command", [["shapley"], ["sample", "--permutations", "50"], ["validate"]])
+def test_csv_round_trips_a_lone_carriage_return(tmp_path, capsys, command):
+    players = ["A", "B\rX", "C\r\nY"]
+    path = Path(write_scenario(tmp_path, players))
+    doc = json.loads(path.read_text())
+    doc["coalitions"][-1]["value"] = "1"  # the grand coalition: three violations for validate
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, command[0], str(path), *command[1:], "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert {len(row) for row in rows} == {len(rows[0])}
+    if command[0] == "validate":
+        assert {name for row in rows[1:] for name in row[:2]} >= {"B\rX", "C\r\nY"}
+    else:
+        assert [row[0] for row in rows[1:]] == players
+
+
+def test_structured_output_beyond_the_float_range(tmp_path, capsys):
+    path = Path(write_scenario(tmp_path, ["A", "B"]))
+    doc = json.loads(path.read_text())
+    doc["coalitions"][0]["value"] = "1e400"
+    doc["coalitions"][2]["value"] = "3e400"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "shapley", str(path), "--format", "structured")
+    assert code == 0 and err == ""
+    payoff = json.loads(out)["classical"]["A"]
+    assert payoff["float"] is None
+    assert Fraction(payoff["exact"]) == 2 * 10**400 - 10
+
+
+def test_sample_standard_error_beyond_the_float_range_exits_one(tmp_path, capsys):
+    path = Path(write_scenario(tmp_path, ["A", "B"]))
+    doc = json.loads(path.read_text())
+    doc["coalitions"][0]["value"] = "1e400"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "sample", str(path), "--permutations", "50")
+    assert_one_error_line(code, out, err, "standard error of 'A'", "float range")
+
+
+def test_factor_sum_beyond_the_float_range_exits_one(tmp_path, capsys):
+    path = write_scenario(tmp_path, ["A", "B"], factors={"A": "1e400", "B": "0"})
+    assert_one_error_line(*run(capsys, "allocate", path), "sum to 1" + "0" * 400 + ".000000")
+
+
+def test_ahp_matrix_entry_beyond_the_float_range_exits_one(tmp_path, capsys):
+    path = write_scenario(tmp_path, ["A", "B"], ahp={
+        "criteria": ["R1", "R2"],
+        "criteria_matrix": [["1", "1e400"], ["1e-400", "1"]],
+        "alternatives": {"R1": {"A": "0.5", "B": "0.5"}, "R2": {"A": "0.5", "B": "0.5"}},
+    })
+    for command in (["ahp", "weights"], ["ahp", "synthesize"]):
+        assert_one_error_line(*run(capsys, *command, path), "ahp.criteria_matrix[0][1]", "float range")
+
+
+def test_repeated_in_process_runs_match_a_fresh_parser(capsys, monkeypatch):
+    # main builds its parser once per process; a usage error, a run and
+    # --version must leave it as a fresh one would be
+    sequence = [
+        ["shapley", CASE_PATH, "--format", "xml"],
+        ["shapley", CASE_PATH, "--format", "csv"],
+        ["--version"],
+        ["sample", CASE_PATH, "--workers", "0"],
+        ["allocate", CASE_PATH, "--mode", "grand"],
+        [],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    builds = []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    repeated = [outcome(argv) for _ in range(2) for argv in sequence]
+    assert repeated == fresh * 2
+    assert [code for code, _, _ in fresh] == [2, 0, 0, 2, 0, 2]
+    assert len(builds) == 1
+    assert build_parser() is not build_parser()

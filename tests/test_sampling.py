@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chainshare.errors import OracleError, SamplingPlanError
+from chainshare.errors import FloatRangeError, OracleError, SamplingPlanError
 from chainshare.game import CharacteristicFunction, PlayerSet, shapley_exact
 from chainshare.sampling import EstimateReport, SamplingPlan, sample_shapley
 
@@ -82,11 +82,14 @@ def _mixing_value(mask: int) -> Fraction:
     return Fraction(h % 997, 1 + h % 11) + mask.bit_count() ** 2
 
 
-def _reference_report(n: int, plan: SamplingPlan) -> tuple[tuple[Fraction, ...], tuple[float, ...]]:
+def _reference_report(
+    n: int, plan: SamplingPlan, value=_mixing_value
+) -> tuple[tuple[Fraction, ...], tuple[float, ...]]:
     """Estimates and standard errors from the documented stream, one permutation at a time.
 
     Chunk c holds ``chunk_size`` permutations (the last one may be short),
     drawn by PCG64 seeded with SeedSequence(entropy=seed, spawn_key=(c,)).
+    ``value`` maps a coalition mask to its value.
     """
     m = plan.permutations
     totals = [Fraction(0)] * n
@@ -96,16 +99,25 @@ def _reference_report(n: int, plan: SamplingPlan) -> tuple[tuple[Fraction, ...],
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=plan.seed, spawn_key=(chunk,))))
         for order in rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1).tolist():
             mask = 0
-            before = _mixing_value(mask)
+            before = value(mask)
             for player in order:
                 mask |= 1 << player
-                after = _mixing_value(mask)
+                after = value(mask)
                 totals[player] += after - before
                 squares[player] += (after - before) ** 2
                 before = after
     estimates = tuple(t / m for t in totals)
-    std_error = tuple(math.sqrt(float((sq - t * t / m) / (m - 1) / m)) for sq, t in zip(squares, totals))
+    std_error = tuple(math.sqrt(float((sq - t * t / m) / max(m - 1, 1) / m)) for sq, t in zip(squares, totals))
     return estimates, std_error
+
+
+def _assert_matches_reference(n: int, plan: SamplingPlan, value, workers=(1, 2)):
+    players = PlayerSet(tuple(f"p{i}" for i in range(n)))
+    expected = _reference_report(n, plan, value)
+    for w in workers:
+        report = sample_shapley(lambda c: value(c.mask), players, plan, workers=w)
+        assert (report.estimates, report.std_error) == expected
+    return report
 
 
 @pytest.mark.parametrize(
@@ -113,12 +125,54 @@ def _reference_report(n: int, plan: SamplingPlan) -> tuple[tuple[Fraction, ...],
     [(3, 500, 64), (57, 60, 16), (58, 60, 16), (64, 45, 7), (65, 45, 20), (130, 25, 10)],
 )
 def test_every_width_matches_the_permutation_reference(n, permutations, chunk_size):
-    players = PlayerSet(tuple(f"p{i}" for i in range(n)))
     plan = SamplingPlan(permutations, seed=1000 + n, chunk_size=chunk_size)
-    expected = _reference_report(n, plan)
-    for workers in (1, 3):
-        report = sample_shapley(lambda c: _mixing_value(c.mask), players, plan, workers=workers)
-        assert (report.estimates, report.std_error) == expected
+    _assert_matches_reference(n, plan, _mixing_value, workers=(1, 3))
+
+
+def test_negative_values_match_the_permutation_reference():
+    def value(mask):
+        return Fraction(mask % 5, 7) - 3 * _mixing_value(mask)
+
+    report = _assert_matches_reference(7, SamplingPlan(400, seed=21, chunk_size=96), value)
+    assert any(e < 0 for e in report.estimates)
+
+
+def _primes(count: int) -> list[int]:
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def test_one_prime_denominator_per_coalition_matches_the_permutation_reference():
+    # every marginal has its own denominator, so the per-denominator sums
+    # hold about one entry per distinct step
+    n = 10
+    rng = random.Random(10)
+    table = [Fraction(rng.randint(-10**6, 10**6), p) for p in _primes(1 << n)]
+    table[0] = Fraction(0)
+    _assert_matches_reference(n, SamplingPlan(150, seed=5, chunk_size=40), table.__getitem__)
+
+
+def test_one_permutation_matches_the_reference_with_zero_error():
+    report = _assert_matches_reference(6, SamplingPlan(1, seed=8), _mixing_value)
+    assert report.std_error == (0.0,) * 6
+
+
+def test_std_error_beyond_the_float_range_of_its_variance():
+    # marginals near 1e200 have a variance near 1e400, beyond a float,
+    # while the standard error itself still fits in one
+    players = PlayerSet(("a", "b"))
+    values = {0: 0, 1: 10**200, 2: 1, 3: 3 * 10**200}
+    report = sample_shapley(lambda c: values[c.mask], players, SamplingPlan(50, seed=2))
+    assert all(1e198 < se < 1e201 for se in report.std_error)
+    assert sum(report.estimates, Fraction(0)) == 3 * 10**200
+    huge = {0: 0, 1: 10**400, 2: 1, 3: 3 * 10**400}
+    with pytest.raises(FloatRangeError, match="standard error"):
+        sample_shapley(lambda c: huge[c.mask], players, SamplingPlan(50, seed=2))
 
 
 def test_oracle_runs_once_per_coalition_on_the_calling_thread():
