@@ -18,7 +18,6 @@ from .ahp import (
     ConsistencyReport,
     CriteriaHierarchy,
     WeightVector,
-    check_consistency,
     consistency_report,
     dominant_eigen,
     geometric_mean_weights,
@@ -97,7 +96,6 @@ __all__ = [
     "WeightVector",
     "adjusted_shapley",
     "bundled_scenario",
-    "check_consistency",
     "coalition_weight",
     "compute_deltas",
     "consistency_report",

@@ -152,11 +152,6 @@ def consistency_report(lambda_max: float, n: int) -> ConsistencyReport:
     )
 
 
-def check_consistency(report: ConsistencyReport) -> bool:
-    """Pass/fail verdict: True iff cr < 0.1 (strict)."""
-    return report.cr < CR_THRESHOLD
-
-
 def dominant_eigen(
     a: np.ndarray,
     *,
@@ -303,11 +298,11 @@ def synthesize_factors(
     must pass the consistency gate unless ``allow_inconsistent``.
     """
     if not allow_inconsistent:
-        if h.criteria_consistency is not None and not check_consistency(h.criteria_consistency):
+        if h.criteria_consistency is not None and not h.criteria_consistency.passed:
             raise ConsistencyGateError("criteria", h.criteria_consistency.cr)
         for label in h.criteria_weights.labels:
             report = h.score_consistency.get(label)
-            if report is not None and not check_consistency(report):
+            if report is not None and not report.passed:
                 raise ConsistencyGateError(label, report.cr)
     players = h.players
     g = np.zeros(len(players))

@@ -86,7 +86,12 @@ class FloatRangeError(ChainshareError):
 
 
 class OracleError(ChainshareError):
-    """The user-supplied coalition value oracle raised during sampling."""
+    """The user-supplied coalition value oracle raised during sampling.
+
+    ``permutation_index`` is a permutation that needs the failing
+    coalition: the first one, within its chunk, holding the step that
+    asked for it.
+    """
 
     def __init__(self, permutation_index: int, cause: BaseException):
         self.permutation_index = permutation_index

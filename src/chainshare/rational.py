@@ -42,6 +42,8 @@ def parse_rational(value: RationalLike) -> Fraction:
     """
     if isinstance(value, bool):
         raise TypeError("booleans are not rational values")
+    if type(value) is Fraction:
+        return value  # immutable and already exact
     if isinstance(value, (int, Fraction, Decimal)):
         return Fraction(value)
     if isinstance(value, float):

@@ -6,16 +6,25 @@ chunks; chunk c draws its permutations from an RNG stream derived from
 (seed, c), so the output is a pure function of (oracle, players, plan)
 regardless of how many workers execute the chunks.
 
-One pass serves every game width. Worker threads draw the chunks and
-count each one's distinct (prefix, player) steps, with prefix masks held
-as ceil(n/64) uint64 words. The counts merge in chunk order into one
-table for the whole run, and the oracle is called on the caller's
-thread, once per distinct coalition. Each distinct step's marginal is
-then an integer k over the lcm d of its two values' denominators, and
-each player sums c*k and c*k*k as integers per denominator d; only
-those per-(player, d) sums become Fractions, added as a balanced tree.
-The sums are exact, so the estimates always sum to v(N) - v(empty), an
-equality, not a tolerance.
+One pass serves every game width. Worker threads draw the chunks, count
+each one's distinct (prefix, player) steps, with prefix masks held as
+ceil(n/64) uint64 words, and list the chunk's coalitions: every distinct
+prefix and the grand coalition. A coalition's key is one fixed-width byte
+row, its mask words, most significant first, big-endian, so byte order
+is numeric mask order. The chunks merge in chunk order on the caller's
+thread: ``np.searchsorted`` finds a chunk's coalitions among the run's
+sorted key arrays, and the oracle is called once per coalition new to
+the run, in the order the chunk's steps first ask for it. Its answers go
+into one list. A step's key is an int64, its prefix's index in that list
+times n plus its player; the chunk's steps are found the same way among
+the run's steps, whose counts they add to in place, and new ones are
+added with the index of their prefix plus player. No step is probed one
+by one in Python. Each distinct step's marginal is then an integer k
+over the lcm d of its two values' denominators, and each player sums
+c*k and c*k*k as integers per denominator d; only those per-(player, d)
+sums become Fractions, added as a balanced tree. The sums are exact, so
+the estimates always sum to v(N) - v(empty), an equality, not a
+tolerance.
 """
 
 from __future__ import annotations
@@ -77,8 +86,16 @@ def _count_steps(n: int, seed: int, chunk_index: int, count: int):
     Prefix masks are held as ceil(n/64) little-endian uint64 words.
     Players within one word contribute distinct power-of-two bits, so a
     cumulative sum along the row is the cumulative OR of prefixes.
-    Returns each distinct step's player, its mask words, the flat index
-    of its first occurrence and its count, sorted by mask, then player.
+
+    The chunk's coalitions are every distinct prefix and the grand
+    coalition: a step's prefix plus player is the prefix of the next step
+    in its permutation, or the grand coalition after the last one. With
+    the distinct steps sorted by (mask, player), step k asks for its
+    prefix plus player at request 2k, then for its prefix at 2k + 1.
+    Returns the coalition keys, sorted, and each coalition's first
+    request; then for each distinct step, in sorted order, the flat index
+    of its first occurrence, its count, its player, and the positions of
+    its prefix plus player and of its prefix among the coalitions.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
     perms = rng.permuted(np.tile(np.arange(n, dtype=np.uint64), (count, 1)), axis=1)
@@ -86,49 +103,158 @@ def _count_steps(n: int, seed: int, chunk_index: int, count: int):
     words = []
     for word in range(-(-n // _WORD_BITS)):
         bits = np.where(perms // width == word, np.uint64(1) << perms % width, np.uint64(0))
-        prefix = np.cumsum(bits, axis=1, dtype=np.uint64)
-        prefix -= bits
-        words.append(prefix.ravel())
+        before = np.cumsum(bits, axis=1, dtype=np.uint64)
+        before -= bits
+        words.append(before.ravel())
     players = perms.ravel()
-    del perms, bits, prefix
+    del perms, bits, before
     # lexsort's last key is the primary one: the most significant word.
     order = np.lexsort((players, *words))
     players = players[order]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = players[1:] != players[:-1]
-    for k, word in enumerate(words):
-        words[k] = word = word[order]
-        new[1:] |= word[1:] != word[:-1]
+    words = [word[order] for word in reversed(words)]
+    new_prefix = np.zeros(order.size, dtype=bool)
+    new_prefix[0] = True
+    for word in words:
+        new_prefix[1:] |= word[1:] != word[:-1]
+    new = new_prefix.copy()
+    new[1:] |= players[1:] != players[:-1]
     starts = np.flatnonzero(new)
-    counts = np.diff(starts, append=order.size)
-    return players[starts], [word[starts] for word in words], order[starts], counts
+    counts = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1] = order.size - starts[-1]
+    first = order[starts]
+    players = players[starts].astype(np.int64)
+    del new
+    # Coalition c is the c-th distinct prefix, and the last one the grand
+    # coalition. Its key is its mask words, most significant first, written
+    # into big-endian rows, so the keys' byte order is the masks' numeric order.
+    heads = np.flatnonzero(new_prefix)
+    rows = np.empty((heads.size + 1, len(words)), ">u8")
+    for k, word in enumerate(words):
+        rows[:-1, k] = word[heads]
+        rows[-1, k] = (1 << min(_WORD_BITS, n - _WORD_BITS * (len(words) - 1 - k))) - 1
+    coalitions = rows.view(f"V{rows.itemsize * len(words)}").ravel()
+    del words, heads, rows
+    group = np.cumsum(new_prefix, dtype=np.int64)
+    group -= 1
+    prefix = group[starts]
+    del new_prefix
+    # the prefix after flat row f is f's prefix plus player
+    following = np.empty(order.size + 1, np.int64)
+    following[order] = group
+    del order, group
+    following[n::n] = coalitions.size - 1  # after a permutation's last step
+    joined = following[first + 1]
+    asks = np.empty(2 * starts.size, np.int64)
+    asks[0::2] = joined
+    asks[1::2] = prefix
+    request = np.full(coalitions.size, asks.size)
+    np.minimum.at(request, asks, np.arange(asks.size))
+    return coalitions, request, first, counts, players, joined, prefix
+
+
+class _SortedKeys:
+    """Distinct keys held in sorted arrays, each key with values in parallel columns.
+
+    ``arrays`` holds (keys, *columns) tuples. Keys new to the table become
+    a new last array, and the last two merge while the one before is at
+    most twice the size of the last. Each array is then more than twice
+    the next, so N keys lie in at most log2(N) + 1 arrays and a key is
+    copied O(log N) times, where inserting each batch into one sorted
+    array would copy the whole table per batch.
+    """
+
+    def __init__(self):
+        self.arrays: list[tuple[np.ndarray, ...]] = []
+
+    def match(self, keys: np.ndarray):
+        """Where ``keys`` are held, and which are not.
+
+        Returns, for each array, the array, the positions in ``keys`` of
+        the keys it holds and their positions in it; then the positions
+        of the keys no array holds, in ascending order.
+        """
+        found = []
+        missing = np.arange(keys.size)
+        for array in self.arrays:
+            wanted = keys[missing]
+            at = np.minimum(np.searchsorted(array[0], wanted), array[0].size - 1)
+            hit = array[0][at] == wanted
+            found.append((array, missing[hit], at[hit]))
+            missing = missing[~hit]
+        return found, missing
+
+    def add(self, keys: np.ndarray, *columns: np.ndarray) -> None:
+        """Add sorted ``keys``, none of them held yet, with their ``columns``."""
+        self.arrays.append((keys, *columns))
+        while len(self.arrays) > 1 and self.arrays[-2][0].size <= 2 * self.arrays[-1][0].size:
+            new, old = self.arrays.pop(), self.arrays.pop()
+            at = np.searchsorted(old[0], new[0])
+            self.arrays.append(tuple(np.insert(a, at, b) for a, b in zip(old, new)))
+
+
+class _StepTable:
+    """A run's coalitions, the oracle's answers for them, and its counted steps.
+
+    ``values`` holds the oracle's answers as (numerator, denominator)
+    pairs in the order it gave them; a coalition's slot is its index
+    there. ``coalitions`` maps coalition keys to slots. A step's key is
+    its prefix's slot times n plus its player, and ``steps`` maps it to
+    its count and to the slot of its prefix plus player.
+    """
+
+    def __init__(self):
+        self.coalitions = _SortedKeys()
+        self.steps = _SortedKeys()
+        self.values: list[tuple[int, int]] = []
 
 
 def _merge_steps(
-    steps: dict, values: dict, oracle: Callable, players: PlayerSet, chunk_start: int, counting: Future
-) -> None:
-    """Add a chunk's counted steps to the run's (mask, player) -> count table.
+    table: _StepTable, players: PlayerSet, chunk_start: int, counting: Future
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge a chunk's counted steps into the run's step table.
 
-    The oracle is asked for both coalitions of a step new to the run, so it
-    sees coalitions in chunk order, then mask and player order, each once.
+    Steps already in the table add their counts in place; new steps are
+    added with theirs. A coalition the run has not seen is asked for by
+    new steps only, so the chunk's unseen coalitions are due to the
+    oracle in the order of their first request: step by step in (mask,
+    player) order, prefix plus player before prefix. Their slots in
+    ``table.values`` are reserved in that order. Returns their keys, in
+    that order, and for each the permutation an oracle failure names: the
+    first one holding the step that asked. The oracle is left to
+    :func:`_evaluate`, so the chunk's arrays are freed before it runs.
     """
-    step_players, words, first, counts = counting.result()
-    masks = words[0].tolist()
-    for k in range(1, len(words)):
-        masks = [low | high << (_WORD_BITS * k) for low, high in zip(masks, words[k].tolist())]
-    permutations = (first // players.n + chunk_start).tolist()
-    for mask, player, c, permutation in zip(masks, step_players.tolist(), counts.tolist(), permutations):
-        key = (mask, player)
-        if key in steps:
-            steps[key] += c
-            continue
-        steps[key] = c
-        for coalition in (mask | 1 << player, mask):
-            if coalition not in values:
-                try:
-                    values[coalition] = parse_rational(oracle(Coalition(players, coalition)))
-                except Exception as exc:
-                    raise OracleError(permutation, exc) from exc
+    coalitions, request, first, counts, step_players, joined, prefix = counting.result()
+    found, due = table.coalitions.match(coalitions)
+    slots = np.empty(coalitions.size, np.int64)
+    for (_, held), where, at in found:
+        slots[where] = held[at]
+    if due.size:
+        unseen = due
+        due = due[np.argsort(request[due])]
+        slots[due] = np.arange(len(table.values), len(table.values) + due.size)
+        table.coalitions.add(coalitions[unseen], slots[unseen])
+    keys = slots[prefix] * players.n + step_players
+    found, new = table.steps.match(keys)
+    for (_, held, _), where, at in found:
+        held[at] += counts[where]
+    if new.size:
+        new = new[np.argsort(keys[new])]
+        table.steps.add(keys[new], counts[new], slots[joined[new]])
+    return coalitions[due], first[request[due] // 2] // players.n + chunk_start
+
+
+def _evaluate(
+    table: _StepTable, oracle: Callable, players: PlayerSet, keys: np.ndarray, permutations: np.ndarray
+) -> None:
+    """Ask the oracle for each coalition of ``keys``, appending the answers to ``table.values``."""
+    masks, size = keys.tobytes(), keys.itemsize
+    for k in range(keys.size):
+        mask = int.from_bytes(masks[k * size : (k + 1) * size], "big")
+        try:
+            table.values.append(parse_rational(oracle(Coalition(players, mask))).as_integer_ratio())
+        except Exception as exc:
+            raise OracleError(int(permutations[k]), exc) from exc
 
 
 def _pairwise_sum(terms: list[Fraction]) -> Fraction:
@@ -180,26 +306,31 @@ def sample_shapley(
         raise ValueError(f"worker count must be >= 1, got {workers}")
     n = players.n
     m = plan.permutations
-    values: dict[int, Fraction] = {}
-    steps: dict[tuple[int, int], int] = {}
+    table = _StepTable()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
         for chunk_index, chunk_start in enumerate(range(0, m, plan.chunk_size)):
             if len(pending) == workers:
-                _merge_steps(steps, values, oracle, players, *pending.popleft())
+                _evaluate(table, oracle, players, *_merge_steps(table, players, *pending.popleft()))
             count = min(plan.chunk_size, m - chunk_start)
             pending.append((chunk_start, pool.submit(_count_steps, n, plan.seed, chunk_index, count)))
-        for chunk in pending:
-            _merge_steps(steps, values, oracle, players, *chunk)
+        while pending:
+            _evaluate(table, oracle, players, *_merge_steps(table, players, *pending.popleft()))
     # Sums are kept per denominator, not over one lcm of the whole table:
     # with a distinct prime denominator per coalition that lcm makes every
     # marginal an int of thousands of digits.
     sums: list[dict[int, list[int]]] = [{} for _ in range(n)]
-    for (mask, player), c in steps.items():
-        a = values[mask | 1 << player]
-        b = values[mask]
-        d = math.lcm(a.denominator, b.denominator)
-        k = a.numerator * (d // a.denominator) - b.numerator * (d // b.denominator)
+    values = table.values
+    keys, counts, joined_slots = (np.concatenate(column) for column in zip(*table.steps.arrays))
+    prefix_slots, step_players = np.divmod(keys, n)
+    del keys
+    for player, c, joined, prefix in zip(
+        step_players.tolist(), counts.tolist(), joined_slots.tolist(), prefix_slots.tolist()
+    ):
+        a, a_den = values[joined]
+        b, b_den = values[prefix]
+        d = math.lcm(a_den, b_den)
+        k = a * (d // a_den) - b * (d // b_den)
         entry = sums[player].get(d)
         if entry is None:  # not setdefault: no throwaway list per step
             sums[player][d] = [c * k, c * k * k]

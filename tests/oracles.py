@@ -10,22 +10,29 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 GameTable = dict[frozenset, Fraction]
 
 
 def permutation_shapley(players: tuple[str, ...], values: GameTable) -> dict[str, Fraction]:
-    """Average marginal contribution over all n! arrival orders."""
+    """Average marginal contribution over all n! arrival orders.
+
+    Values are scaled to integers over the lcm of the table's
+    denominators, so each arrival step adds an int and one Fraction is
+    built per player at the end.
+    """
     n = len(players)
-    totals = {p: Fraction(0) for p in players}
+    scale = lcm(*(v.denominator for v in values.values()))
+    scaled = {s: v.numerator * (scale // v.denominator) for s, v in values.items()}
+    totals = dict.fromkeys(players, 0)
     for order in itertools.permutations(players):
         seen: frozenset = frozenset()
         for p in order:
             joined = seen | {p}
-            totals[p] += values.get(joined, Fraction(0)) - values.get(seen, Fraction(0))
+            totals[p] += scaled.get(joined, 0) - scaled.get(seen, 0)
             seen = joined
-    return {p: t / factorial(n) for p, t in totals.items()}
+    return {p: Fraction(t, scale * factorial(n)) for p, t in totals.items()}
 
 
 def per_player_lever(players: tuple[str, ...], values: GameTable) -> dict[str, Fraction]:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,10 +8,8 @@ import pytest
 from chainshare.ahp import (
     RANDOM_INDEX,
     ComparisonMatrix,
-    ConsistencyReport,
     CriteriaHierarchy,
     WeightVector,
-    check_consistency,
     consistency_report,
     dominant_eigen,
     geometric_mean_weights,
@@ -55,14 +54,27 @@ def test_reference_consistency_numbers():
     assert abs(report.cr - 0.073) <= 0.005
     assert abs(report.cr - 0.0737) < 5e-4
     assert report.passed
-    assert check_consistency(report)
 
 
-def test_consistency_threshold_is_strict():
-    at_boundary = ConsistencyReport(n=7, lambda_max=7.0, ci=0.1, ri=1.0, cr=0.1, passed=False)
-    assert not check_consistency(at_boundary)
-    below = ConsistencyReport(n=7, lambda_max=7.0, ci=0.073, ri=1.0, cr=0.073, passed=True)
-    assert check_consistency(below)
+def test_consistency_threshold_is_strict(monkeypatch):
+    # The gate reads ``passed``, set iff cr < 0.1. With the tabulated
+    # random indices no float lambda_max gives cr == 0.1 exactly, so one
+    # index is set to 1.25: lambda_max = 5.5 then gives ci = 0.125 and
+    # cr = 0.125 / 1.25, which rounds to 0.1 exactly.
+    monkeypatch.setitem(RANDOM_INDEX, 5, 1.25)
+    at_boundary = consistency_report(5.5, 5)
+    assert at_boundary.cr == 0.1
+    assert not at_boundary.passed
+    just_below = consistency_report(math.nextafter(5.5, 0), 5)
+    assert just_below.cr < 0.1
+    assert just_below.passed
+    # with the tabulated indices, these two land just either side of 0.1
+    above = consistency_report(3.116, 3)
+    assert 0.1 < above.cr < 0.1 + 1e-15
+    assert not above.passed
+    below = consistency_report(4.27, 4)
+    assert 0.1 - 1e-15 < below.cr < 0.1
+    assert below.passed
 
 
 @pytest.mark.parametrize("ratio", [2.0, 5.0, 9.0])

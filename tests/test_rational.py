@@ -39,6 +39,17 @@ def test_parse_rational_rejects(raw):
         parse_rational(raw)
 
 
+def test_parse_rational_returns_an_exact_fraction_unchanged():
+    value = Fraction(10**40 + 1, 7)
+    assert parse_rational(value) is value
+
+    class Tagged(Fraction):
+        pass
+
+    tagged = parse_rational(Tagged(3, 4))
+    assert type(tagged) is Fraction and tagged == Fraction(3, 4)
+
+
 def test_parse_rational_rejects_bools_and_objects():
     with pytest.raises(TypeError):
         parse_rational(True)

@@ -1,11 +1,15 @@
 import math
 import random
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chainshare import sampling
 from chainshare.errors import FloatRangeError, OracleError, SamplingPlanError
 from chainshare.game import CharacteristicFunction, PlayerSet, shapley_exact
 from chainshare.sampling import EstimateReport, SamplingPlan, sample_shapley
@@ -82,22 +86,31 @@ def _mixing_value(mask: int) -> Fraction:
     return Fraction(h % 997, 1 + h % 11) + mask.bit_count() ** 2
 
 
+def _stream(n: int, plan: SamplingPlan):
+    """The documented permutation stream: each chunk's first permutation index and its orders.
+
+    Chunk c holds ``chunk_size`` permutations (the last one may be short),
+    drawn by PCG64 seeded with SeedSequence(entropy=seed, spawn_key=(c,)).
+    """
+    m = plan.permutations
+    for chunk, start in enumerate(range(0, m, plan.chunk_size)):
+        count = min(plan.chunk_size, m - start)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=plan.seed, spawn_key=(chunk,))))
+        yield start, rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1).tolist()
+
+
 def _reference_report(
     n: int, plan: SamplingPlan, value=_mixing_value
 ) -> tuple[tuple[Fraction, ...], tuple[float, ...]]:
     """Estimates and standard errors from the documented stream, one permutation at a time.
 
-    Chunk c holds ``chunk_size`` permutations (the last one may be short),
-    drawn by PCG64 seeded with SeedSequence(entropy=seed, spawn_key=(c,)).
     ``value`` maps a coalition mask to its value.
     """
     m = plan.permutations
     totals = [Fraction(0)] * n
     squares = [Fraction(0)] * n
-    for chunk, start in enumerate(range(0, m, plan.chunk_size)):
-        count = min(plan.chunk_size, m - start)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=plan.seed, spawn_key=(chunk,))))
-        for order in rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1).tolist():
+    for _, orders in _stream(n, plan):
+        for order in orders:
             mask = 0
             before = value(mask)
             for player in order:
@@ -127,6 +140,19 @@ def _assert_matches_reference(n: int, plan: SamplingPlan, value, workers=(1, 2))
 def test_every_width_matches_the_permutation_reference(n, permutations, chunk_size):
     plan = SamplingPlan(permutations, seed=1000 + n, chunk_size=chunk_size)
     _assert_matches_reference(n, plan, _mixing_value, workers=(1, 3))
+
+
+@settings(max_examples=30, deadline=2000)
+@given(
+    n=st.integers(1, 7),
+    permutations=st.integers(1, 150),
+    chunk_size=st.integers(1, 64),
+    seed=st.integers(0, 2**64 - 1),
+    workers=st.integers(1, 3),
+)
+def test_any_plan_matches_the_permutation_reference(n, permutations, chunk_size, seed, workers):
+    plan = SamplingPlan(permutations, seed=seed, chunk_size=chunk_size)
+    _assert_matches_reference(n, plan, _mixing_value, workers=(workers,))
 
 
 def test_negative_values_match_the_permutation_reference():
@@ -190,6 +216,138 @@ def test_oracle_runs_once_per_coalition_on_the_calling_thread():
     assert len(masks) == len(set(masks)) == 2**6
 
 
+def _documented_calls(n: int, plan: SamplingPlan) -> tuple[list[int], list[int]]:
+    """The oracle's calls in order, and the permutation a failure at each call names.
+
+    Chunk by chunk, the chunk's distinct (mask, player) steps are taken in
+    sorted order; a step new to the run asks for mask | 1 << player, then
+    for mask, and a coalition is evaluated the first time it is asked for.
+    A failure names the first permutation of the chunk that holds the
+    asking step.
+    """
+    calls: list[int] = []
+    permutations: list[int] = []
+    steps: set[tuple[int, int]] = set()
+    for start, orders in _stream(n, plan):
+        first: dict[tuple[int, int], int] = {}
+        for index, order in enumerate(orders, start):
+            mask = 0
+            for player in order:
+                first.setdefault((mask, player), index)
+                mask |= 1 << player
+        for mask, player in sorted(first.keys() - steps):
+            for coalition in (mask | 1 << player, mask):
+                if coalition not in calls:
+                    calls.append(coalition)
+                    permutations.append(first[mask, player])
+        steps |= first.keys()
+    return calls, permutations
+
+
+STREAM_CASES = pytest.mark.parametrize("n, permutations, chunk_size", [(6, 300, 40), (65, 30, 8)])
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@STREAM_CASES
+def test_oracle_calls_follow_the_documented_stream(n, permutations, chunk_size, workers):
+    plan = SamplingPlan(permutations, seed=60 + n, chunk_size=chunk_size)
+    players = PlayerSet(tuple(f"p{i}" for i in range(n)))
+    masks = []
+
+    def oracle(coalition):
+        masks.append(coalition.mask)
+        return _mixing_value(coalition.mask)
+
+    sample_shapley(oracle, players, plan, workers=workers)
+    assert masks == _documented_calls(n, plan)[0]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@STREAM_CASES
+def test_oracle_failure_names_the_permutation_of_the_asking_step(n, permutations, chunk_size, workers):
+    plan = SamplingPlan(permutations, seed=60 + n, chunk_size=chunk_size)
+    players = PlayerSet(tuple(f"p{i}" for i in range(n)))
+    calls, expected = _documented_calls(n, plan)
+    failing = {0, 1, len(calls) - 1, *random.Random(n).sample(range(len(calls)), 6)}
+    for call in sorted(failing):
+
+        def oracle(coalition):
+            if coalition.mask == calls[call]:
+                raise RuntimeError("boom")
+            return _mixing_value(coalition.mask)
+
+        with pytest.raises(OracleError) as err:
+            sample_shapley(oracle, players, plan, workers=workers)
+        assert err.value.permutation_index == expected[call]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@STREAM_CASES
+def test_step_table_holds_each_step_once(monkeypatch, n, permutations, chunk_size, workers):
+    tables = []
+    merge = sampling._merge_steps
+
+    def spy(table, *args):
+        tables.append(table)
+        return merge(table, *args)
+
+    monkeypatch.setattr(sampling, "_merge_steps", spy)
+    plan = SamplingPlan(permutations, seed=60 + n, chunk_size=chunk_size)
+    players = PlayerSet(tuple(f"p{i}" for i in range(n)))
+    sample_shapley(lambda c: _mixing_value(c.mask), players, plan, workers=workers)
+    table = tables[-1]
+    masks = {}
+    for keys, slots in table.coalitions.arrays:
+        level = [int.from_bytes(key, "big") for key in keys.tolist()]
+        assert level == sorted(set(level))
+        masks.update(zip(slots.tolist(), level))
+    assert sorted(masks) == list(range(len(table.values)))
+    assert len(set(masks.values())) == len(masks)
+    assert len(table.coalitions.arrays) <= len(masks).bit_length()
+    values = [Fraction(*value) for value in table.values]
+    assert [values[slot] for slot in masks] == [_mixing_value(mask) for mask in masks.values()]
+    keys, counts, joined = [], [], []
+    for level in table.steps.arrays:
+        assert level[0].tolist() == sorted(set(level[0].tolist()))
+        for column, part in zip((keys, counts, joined), level):
+            column += part.tolist()
+    assert len(table.steps.arrays) <= len(keys).bit_length()
+    # a step's key is its prefix's slot times n plus its player
+    steps = [(masks[key // n], key % n) for key in keys]
+    expected = Counter()
+    for _, orders in _stream(n, plan):
+        for order in orders:
+            mask = 0
+            for player in order:
+                expected[mask, player] += 1
+                mask |= 1 << player
+    assert sorted(steps) == sorted(expected)
+    assert counts == [expected[step] for step in steps]
+    assert sum(counts) == permutations * n
+    assert [values[k] for k in joined] == [_mixing_value(m | 1 << p) for m, p in steps]
+
+
+def test_sorted_keys_stay_in_few_arrays():
+    # batches of new keys that shrink slowly, as a run's new steps do
+    table = sampling._SortedKeys()
+    keys = np.random.default_rng(3).permutation(20_100)
+    added = 0
+    for size in range(200, 0, -1):
+        batch = np.sort(keys[added : added + size])
+        found, missing = table.match(batch)
+        assert all(where.size == 0 for _, where, _ in found)
+        assert missing.tolist() == list(range(size))
+        table.add(batch, batch * 10)
+        added += size
+        assert len(table.arrays) <= added.bit_length()
+        assert all(a.tolist() == sorted(a.tolist()) for a, _ in table.arrays)
+    found, missing = table.match(keys)
+    assert missing.size == 0
+    for (_, tens), where, at in found:
+        assert (tens[at] == keys[where] * 10).all()
+    assert sorted(k for a, _ in table.arrays for k in a.tolist()) == list(range(20_100))
+
+
 def test_wide_game_beyond_mask_width():
     # 60 additive players: the estimate of each is exactly its own value
     # on every run because marginals never vary.
@@ -227,9 +385,11 @@ def test_oracle_failure_carries_permutation_index():
             raise RuntimeError("boom")
         return 1
 
+    plan = SamplingPlan(10, seed=0, chunk_size=4)
     with pytest.raises(OracleError) as err:
-        sample_shapley(broken, players, SamplingPlan(10, seed=0, chunk_size=4))
-    assert 0 <= err.value.permutation_index < 10
+        sample_shapley(broken, players, plan)
+    calls, expected = _documented_calls(2, plan)
+    assert err.value.permutation_index == expected[calls.index(0b11)]
     assert "boom" in str(err.value)
 
 
