@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import AlignmentError, FactorSumError
+from .errors import AlignmentError, ChoiceError, FactorSumError, NumberError
 from .game import Allocation, CharacteristicFunction, PlayerSet, _payoffs_and_levers
 from .rational import RationalLike, parse_rational
 
@@ -78,17 +78,15 @@ def compute_deltas(
         missing = [p for p in player_set.players if p not in factors]
         extra = [p for p in factors if p not in player_set.players]
         if missing or extra:
-            raise ValueError(
-                f"factor keys do not match players (missing {missing}, unexpected {extra})"
-            )
+            raise AlignmentError(f"factor keys do not match players (missing {missing}, unexpected {extra})")
         raw = [parse_rational(factors[p]) for p in player_set.players]
     else:
         if len(factors) != n:
-            raise ValueError(f"expected {n} factors, got {len(factors)}")
+            raise AlignmentError(f"expected {n} factors, got {len(factors)}")
         raw = [parse_rational(f) for f in factors]
     for player, value in zip(player_set.players, raw):
         if value < 0:
-            raise ValueError(f"factor for {player!r} is negative: {value}")
+            raise NumberError(f"factor for {player!r} is negative: {value}")
     total = sum(raw, Fraction(0))
     if normalize:
         if total <= 0:
@@ -152,7 +150,7 @@ def adjusted_shapley(
     reproduce the classical allocation exactly in both modes.
     """
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        raise ChoiceError(f"mode must be one of {MODES}, got {mode!r}")
     if factors.player_set != game.player_set:
         raise AlignmentError(
             f"factors are for players {factors.player_set.players}, "

@@ -17,12 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .adjust import AdjustmentFactors, compute_deltas
-from .errors import ConsistencyGateError, IterationLimitError, MatrixValidationError
+from .errors import (
+    AlignmentError, ChoiceError, ConsistencyGateError, IterationLimitError, MatrixValidationError, NumberError,
+)
+from .game import _unique_labels
 
 RANDOM_INDEX = {1: 0.0, 2: 0.0, 3: 0.58, 4: 0.90, 5: 1.12, 6: 1.24, 7: 1.32, 8: 1.41, 9: 1.45, 10: 1.49}
 CR_THRESHOLD = 0.1
@@ -32,17 +35,6 @@ POWER_TOLERANCE = 1e-12
 POWER_MAX_ITERATIONS = 10_000
 
 METHODS = ("power", "geometric")
-
-
-def _unique_labels(labels: Sequence[str], what: str) -> tuple[str, ...]:
-    out = tuple(labels)
-    if not out:
-        raise ValueError(f"{what} labels must be non-empty")
-    if any(not isinstance(x, str) or not x for x in out):
-        raise ValueError(f"{what} labels must be non-empty strings")
-    if len(set(out)) != len(out):
-        raise ValueError(f"{what} labels must be unique")
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,11 +89,11 @@ class WeightVector:
         w = tuple(float(x) for x in self.w)
         object.__setattr__(self, "w", w)
         if len(w) != len(labels):
-            raise ValueError(f"{len(labels)} labels but {len(w)} weights")
+            raise AlignmentError(f"{len(labels)} labels but {len(w)} weights")
         if any(x <= 0 for x in w):
-            raise ValueError("weights must be strictly positive")
+            raise NumberError("weights must be strictly positive")
         if abs(sum(w) - 1.0) > WEIGHT_SUM_TOLERANCE:
-            raise ValueError(f"weights sum to {sum(w):.12f}, expected 1")
+            raise NumberError(f"weights sum to {sum(w):.12f}, expected 1")
 
     def weight_of(self, label: str) -> float:
         return self.w[self.labels.index(label)]
@@ -128,20 +120,11 @@ class ConsistencyReport:
 
 def consistency_report(lambda_max: float, n: int) -> ConsistencyReport:
     """Build the CI/CR report from a dominant eigenvalue and matrix order."""
-    if n < 1:
-        raise ValueError("matrix order must be at least 1")
+    if n not in RANDOM_INDEX:
+        raise MatrixValidationError(f"no random index tabulated for n={n}; table covers 1..{max(RANDOM_INDEX)}")
     ci = 0.0 if n == 1 else (lambda_max - n) / (n - 1)
-    if n <= 2:
-        ri = 0.0
-        cr = 0.0
-    else:
-        try:
-            ri = RANDOM_INDEX[n]
-        except KeyError:
-            raise MatrixValidationError(
-                f"no random index tabulated for n={n}; table covers 1..{max(RANDOM_INDEX)}"
-            ) from None
-        cr = ci / ri
+    ri = RANDOM_INDEX[n]
+    cr = 0.0 if n <= 2 else ci / ri
     return ConsistencyReport(
         n=n,
         lambda_max=float(lambda_max),
@@ -169,9 +152,9 @@ def dominant_eigen(
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n) or n == 0:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        raise MatrixValidationError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)) or np.any(a <= 0):
-        raise ValueError("power iteration requires a strictly positive matrix")
+        raise MatrixValidationError("power iteration requires a strictly positive matrix")
     x = np.full(n, 1.0 / n)
     step = np.inf
     for _ in range(max_iterations):
@@ -206,7 +189,7 @@ def principal_weights(
     the ratio mean((A w)_i / w_i), so the report is meaningful for both.
     """
     if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+        raise ChoiceError(f"method must be one of {METHODS}, got {method!r}")
     if method == "power":
         w, lam = dominant_eigen(m.a)
     else:
@@ -237,12 +220,13 @@ class CriteriaHierarchy:
         if set(scores) != criteria:
             missing = sorted(criteria - set(scores))
             extra = sorted(set(scores) - criteria)
-            raise ValueError(
-                f"player scores must cover the criteria exactly (missing {missing}, unexpected {extra})"
+            raise AlignmentError(
+                f"player scores must cover the criteria exactly: no player scores for {missing}, "
+                f"scores for unknown criteria {extra}"
             )
         player_lists = {sv.labels for sv in scores.values()}
         if len(player_lists) != 1:
-            raise ValueError("all score vectors must share one ordered player list")
+            raise AlignmentError("all score vectors must share one ordered player list")
         object.__setattr__(self, "player_scores", MappingProxyType(scores))
         object.__setattr__(self, "score_consistency", MappingProxyType(dict(self.score_consistency)))
 
@@ -267,17 +251,11 @@ class CriteriaHierarchy:
         criteria_weights, criteria_report = principal_weights(criteria, method=method)
         scores: dict[str, WeightVector] = {}
         reports: dict[str, ConsistencyReport] = {}
-        for label in criteria.labels:
-            if label not in alternatives:
-                raise ValueError(f"no player scores supplied for criterion {label!r}")
-            entry = alternatives[label]
+        for label, entry in alternatives.items():
             if isinstance(entry, ComparisonMatrix):
                 scores[label], reports[label] = principal_weights(entry, method=method)
             else:
                 scores[label] = entry
-        unknown = sorted(set(alternatives) - set(criteria.labels))
-        if unknown:
-            raise ValueError(f"scores supplied for unknown criteria: {unknown}")
         return cls(
             criteria_weights=criteria_weights,
             player_scores=scores,
@@ -293,9 +271,10 @@ def synthesize_factors(
 ) -> AdjustmentFactors:
     """Weighted-sum synthesis of per-player influence factors.
 
-    G_i = sum_k criteria_weight[k] * player_scores[k][i]; the result
-    sums to 1 within 1e-9 by construction. Every matrix-sourced level
-    must pass the consistency gate unless ``allow_inconsistent``.
+    G_i = sum_k criteria_weight[k] * player_scores[k][i], computed in
+    floats, then divided by their exact sum, so the factors sum to
+    exactly 1. Every matrix-sourced level must pass the consistency gate
+    unless ``allow_inconsistent``.
     """
     if not allow_inconsistent:
         if h.criteria_consistency is not None and not h.criteria_consistency.passed:
@@ -308,4 +287,4 @@ def synthesize_factors(
     g = np.zeros(len(players))
     for label, weight in zip(h.criteria_weights.labels, h.criteria_weights.w):
         g += weight * h.player_scores[label].as_array()
-    return compute_deltas([Fraction(float(x)) for x in g], players)
+    return compute_deltas([Fraction(float(x)) for x in g], players, normalize=True)

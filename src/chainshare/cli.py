@@ -76,50 +76,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args: argparse.Namespace) -> tuple[ReportDocument, int]:
-    sf = load_scenario(args.scenario)
-    players = sf.players
+def _shapley(sf, args) -> ReportDocument:
+    return ReportDocument("shapley", sf.players, classical=shapley_exact(scenario_game(sf)))
 
-    if args.command == "shapley":
-        game = scenario_game(sf)
-        return ReportDocument("shapley", players, classical=shapley_exact(game)), 0
 
-    if args.command == "allocate":
-        game = scenario_game(sf)
-        factors = resolve_factors(sf, normalize=args.normalize or None)
-        if factors is None:
-            raise ChainshareError(
-                "scenario carries no adjustment factors; add a 'factors' map or an 'ahp' section"
-            )
-        mode = args.mode or sf.mode or "eq3"
-        adjusted = adjusted_shapley(game, factors, mode)
-        return ReportDocument(
-            "allocate", players, classical=adjusted.base, adjusted=adjusted, factors=factors
-        ), 0
+def _allocate(sf, args) -> ReportDocument:
+    game = scenario_game(sf)
+    factors = resolve_factors(sf, normalize=args.normalize or None)
+    if factors is None:
+        raise ChainshareError("scenario carries no adjustment factors; add a 'factors' map or an 'ahp' section")
+    adjusted = adjusted_shapley(game, factors, args.mode or sf.mode or "eq3")
+    return ReportDocument("allocate", sf.players, classical=adjusted.base, adjusted=adjusted, factors=factors)
 
-    if args.command == "ahp":
-        if args.ahp_command == "weights":
-            hierarchy = scenario_hierarchy(sf, method=args.method)
-            return ReportDocument("ahp-weights", players, hierarchy=hierarchy), 0
-        hierarchy = scenario_hierarchy(sf)
-        factors = synthesize_factors(hierarchy)
-        return ReportDocument(
-            "ahp-synthesize", players, factors=factors, hierarchy=hierarchy
-        ), 0
 
-    if args.command == "sample":
-        game = scenario_game(sf)
-        plan = SamplingPlan(permutations=args.permutations, seed=args.seed, chunk_size=args.chunk_size)
-        report = sample_shapley(game, game.player_set, plan, workers=args.workers)
-        return ReportDocument("sample", players, estimates=report), 0
+def _ahp_weights(sf, args) -> ReportDocument:
+    return ReportDocument("ahp-weights", sf.players, hierarchy=scenario_hierarchy(sf, method=args.method))
 
-    if args.command == "validate":
-        game = scenario_game(sf)
-        report = validate_game(game)
-        status = 1 if (args.strict and not report.ok) else 0
-        return ReportDocument("validate", players, validation=report), status
 
-    raise AssertionError(f"unhandled command {args.command!r}")
+def _ahp_synthesize(sf, args) -> ReportDocument:
+    hierarchy = scenario_hierarchy(sf)
+    return ReportDocument("ahp-synthesize", sf.players, factors=synthesize_factors(hierarchy), hierarchy=hierarchy)
+
+
+def _sample(sf, args) -> ReportDocument:
+    game = scenario_game(sf)
+    plan = SamplingPlan(permutations=args.permutations, seed=args.seed, chunk_size=args.chunk_size)
+    estimates = sample_shapley(game, game.player_set, plan, workers=args.workers)
+    return ReportDocument("sample", sf.players, estimates=estimates)
+
+
+def _validate(sf, args) -> ReportDocument:
+    return ReportDocument("validate", sf.players, validation=validate_game(scenario_game(sf)))
+
+
+# Report kind -> the function that builds its report. Each calls the library through this
+# module's names at call time, so a name substituted here (as chainbench/spans.py does) is used.
+COMMANDS = {
+    "shapley": _shapley,
+    "allocate": _allocate,
+    "ahp-weights": _ahp_weights,
+    "ahp-synthesize": _ahp_synthesize,
+    "sample": _sample,
+    "validate": _validate,
+}
 
 
 @functools.lru_cache(maxsize=1)
@@ -137,8 +136,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "sample" and args.workers < 1:
         parser.error(f"argument --workers: must be at least 1, got {args.workers}")
+    kind = f"ahp-{args.ahp_command}" if args.command == "ahp" else args.command
     try:
-        doc, status = _run(args)
+        doc = COMMANDS[kind](load_scenario(args.scenario), args)
         text = render(doc, args.format)
         if args.output:
             Path(args.output).write_text(text, encoding="utf-8", newline="")
@@ -147,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ChainshareError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return status
+    return 1 if args.command == "validate" and args.strict and not doc.validation.ok else 0
 
 
 def entrypoint() -> None:

@@ -1,6 +1,9 @@
-"""Exception types raised by the allocation and weighting engines."""
+"""Exception types raised by the allocation and weighting engines.
 
-from .rational import format_fixed
+Every error is a :class:`ChainshareError`. Those that reject an argument
+also subclass ``ValueError`` or ``TypeError``, so a caller that catches the
+built-in catches them too.
+"""
 
 
 class ChainshareError(Exception):
@@ -30,14 +33,32 @@ class EnumerationBoundError(ChainshareError):
         )
 
 
-class AlignmentError(ChainshareError):
-    """Two inputs that must share a player set do not."""
+class IdentifierError(ChainshareError, ValueError):
+    """A player, label or coalition key is empty, not a string, repeated or unknown."""
+
+
+class NumberError(ChainshareError, ValueError):
+    """A number cannot be read exactly, or lies outside the range its place allows."""
+
+
+class ChoiceError(ChainshareError, ValueError):
+    """A named option (mode, method, format, report kind, bundled scenario) is none of its choices."""
+
+
+class InputTypeError(ChainshareError, TypeError):
+    """An argument has a type the function does not take."""
+
+
+class AlignmentError(ChainshareError, ValueError):
+    """Two inputs that must share a player or label set do not."""
 
 
 class FactorSumError(ChainshareError):
     """Raw adjustment factors do not sum to 1 within tolerance, or cannot be normalized."""
 
     def __init__(self, total, tolerance, remedy="pass normalize=True to rescale"):
+        from .rational import format_fixed  # rational raises the errors defined here
+
         self.total = total
         self.tolerance = tolerance
         super().__init__(
@@ -46,7 +67,7 @@ class FactorSumError(ChainshareError):
         )
 
 
-class MatrixValidationError(ChainshareError):
+class MatrixValidationError(ChainshareError, ValueError):
     """A pairwise comparison matrix violates its structural invariants."""
 
 
@@ -74,8 +95,8 @@ class ConsistencyGateError(ChainshareError):
         )
 
 
-class SamplingPlanError(ChainshareError):
-    """A sampling plan has an invalid permutation count, seed, or chunk size."""
+class SamplingPlanError(ChainshareError, ValueError):
+    """A sampling plan has an invalid permutation count, seed, chunk size or worker count."""
 
 
 class FloatRangeError(ChainshareError):

@@ -15,10 +15,23 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import EnumerationBoundError, IncompleteGameError
+from .errors import EnumerationBoundError, IdentifierError, IncompleteGameError, InputTypeError, NumberError
 from .rational import RationalLike, parse_rational
 
 ENUMERATION_MAX_PLAYERS = 20
+
+
+def _unique_labels(labels: Iterable[str], what: str) -> tuple[str, ...]:
+    """``labels`` as a tuple: at least one, each a non-empty string, none repeated."""
+    out = tuple(labels)
+    if not out:
+        raise IdentifierError(f"at least one {what} label is needed")
+    for label in out:
+        if not isinstance(label, str) or not label:
+            raise IdentifierError(f"{what} labels must be non-empty strings, got {label!r}")
+    if len(set(out)) != len(out):
+        raise IdentifierError(f"{what} labels must be unique")
+    return out
 
 
 @dataclass(frozen=True)
@@ -28,14 +41,7 @@ class PlayerSet:
     players: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "players", tuple(self.players))
-        if not self.players:
-            raise ValueError("a game needs at least one player")
-        for p in self.players:
-            if not isinstance(p, str) or not p:
-                raise ValueError(f"player identifiers must be non-empty strings, got {p!r}")
-        if len(set(self.players)) != len(self.players):
-            raise ValueError("player identifiers must be unique")
+        object.__setattr__(self, "players", _unique_labels(self.players, "player"))
 
     @property
     def n(self) -> int:
@@ -45,7 +51,7 @@ class PlayerSet:
         try:
             return self.players.index(player)
         except ValueError:
-            raise ValueError(f"unknown player {player!r}") from None
+            raise IdentifierError(f"unknown player {player!r}") from None
 
     def coalition(self, members: Iterable[str]) -> Coalition:
         mask = 0
@@ -73,7 +79,7 @@ class Coalition:
 
     def __post_init__(self):
         if not 0 <= self.mask < (1 << self.player_set.n):
-            raise ValueError(f"coalition mask {self.mask:#x} out of range for {self.player_set.n} players")
+            raise IdentifierError(f"coalition mask {self.mask:#x} out of range for {self.player_set.n} players")
 
     @property
     def size(self) -> int:
@@ -109,11 +115,11 @@ def coalition_weight(n: int, s: int) -> Fraction:
     fixed player these weights sum to 1.
     """
     if not isinstance(n, int) or not isinstance(s, int):
-        raise TypeError("player count and coalition size must be ints")
+        raise InputTypeError("player count and coalition size must be ints")
     if not 1 <= s <= n:
-        raise ValueError(f"coalition size must satisfy 1 <= s <= n, got s={s}, n={n}")
+        raise NumberError(f"coalition size must satisfy 1 <= s <= n, got s={s}, n={n}")
     if n > ENUMERATION_MAX_PLAYERS:
-        raise ValueError(f"player count {n} exceeds the enumeration bound {ENUMERATION_MAX_PLAYERS}")
+        raise NumberError(f"player count {n} exceeds the enumeration bound {ENUMERATION_MAX_PLAYERS}")
     return Fraction(math.factorial(n - s) * math.factorial(s - 1), math.factorial(n))
 
 
@@ -136,7 +142,7 @@ class CharacteristicFunction:
         table: dict[int, Fraction] = {}
         for mask, value in self.values.items():
             if not isinstance(mask, int) or not 0 < mask < (1 << n):
-                raise ValueError(f"coalition key {mask!r} is not a non-empty mask for {n} players")
+                raise IdentifierError(f"coalition key {mask!r} is not a non-empty mask for {n} players")
             table[mask] = parse_rational(value)
         for mask in range(1, 1 << n):
             if mask not in table:
@@ -157,7 +163,7 @@ class CharacteristicFunction:
             key = (members,) if isinstance(members, str) else tuple(members)
             mask = player_set.coalition(key).mask
             if mask in table:
-                raise ValueError(f"coalition {{{', '.join(key)}}} given more than once")
+                raise IdentifierError(f"coalition {{{', '.join(key)}}} given more than once")
             table[mask] = parse_rational(value)
         return cls(player_set, table)
 

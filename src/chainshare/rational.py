@@ -11,6 +11,8 @@ from __future__ import annotations
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
+from .errors import InputTypeError, NumberError
+
 RationalLike = int | str | Fraction | Decimal | float
 
 # Digits a number string may need, in each side of a ratio or in a decimal's
@@ -26,10 +28,10 @@ def _check_size(text: str) -> None:
         try:
             number = Decimal(side)
         except InvalidOperation:
-            raise ValueError(f"not a number within {MAX_DIGITS} digits: {text[:40]!r}") from None
+            raise NumberError(f"not a number within {MAX_DIGITS} digits: {text[:40]!r}") from None
         _, digits, exponent = number.as_tuple()
         if number.is_finite() and max(len(digits) + exponent, 1) + max(-exponent, 0) > MAX_DIGITS:
-            raise ValueError(f"number needs more than {MAX_DIGITS} digits")
+            raise NumberError(f"number needs more than {MAX_DIGITS} digits")
 
 
 def parse_rational(value: RationalLike) -> Fraction:
@@ -41,7 +43,7 @@ def parse_rational(value: RationalLike) -> Fraction:
     here.
     """
     if isinstance(value, bool):
-        raise TypeError("booleans are not rational values")
+        raise InputTypeError("booleans are not rational values")
     if type(value) is Fraction:
         return value  # immutable and already exact
     if isinstance(value, (int, Fraction, Decimal)):
@@ -50,14 +52,14 @@ def parse_rational(value: RationalLike) -> Fraction:
         try:
             return Fraction(value)
         except (ValueError, OverflowError) as exc:
-            raise ValueError(f"not a finite number: {value!r}") from exc
+            raise NumberError(f"not a finite number: {value!r}") from exc
     if isinstance(value, str):
         _check_size(value)
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a decimal or ratio string: {value!r}") from exc
-    raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+            raise NumberError(f"not a decimal or ratio string: {value!r}") from exc
+    raise InputTypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
 def exact_decimal(value: Fraction) -> str | None:

@@ -9,11 +9,13 @@ as exact strings alongside float approximations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import Iterable, NamedTuple
 
 from .adjust import AdjustedAllocation, AdjustmentFactors
-from .ahp import ConsistencyReport, CriteriaHierarchy
+from .ahp import CriteriaHierarchy
+from .errors import ChoiceError
 from .game import Allocation, ValidationReport
 from .rational import exact_string, format_fixed
 from .sampling import EstimateReport
@@ -22,22 +24,13 @@ FORMATS = ("table", "csv", "structured")
 
 DISPLAY_PLACES = 4
 
-CSV_HEADERS = {
-    "shapley": "player,classical",
-    "allocate": "player,classical,adjusted,delta_g,delta_v",
-    "ahp-weights": "criterion,weight",
-    "ahp-synthesize": "player,factor,delta_g",
-    "sample": "player,estimate,std_error",
-    "validate": "left,right,left_value,right_value,union_value",
-}
-
 
 @dataclass(frozen=True)
 class ReportDocument:
     """Everything one command run produced, ready to render.
 
-    ``kind`` names the primary section (and picks the CSV layout); the
-    optional sections render only when present.
+    ``kind`` names the primary section, the one CSV prints; the other
+    sections render only when present.
     """
 
     kind: str
@@ -50,145 +43,146 @@ class ReportDocument:
     estimates: EstimateReport | None = None
 
     def __post_init__(self):
-        if self.kind not in CSV_HEADERS:
-            raise ValueError(f"unknown report kind {self.kind!r}")
+        if self.kind not in SECTIONS:
+            raise ChoiceError(f"unknown report kind {self.kind!r}")
 
 
 def render(doc: ReportDocument, format: str = "table") -> str:
-    if format == "table":
-        return render_table(doc)
-    if format == "csv":
-        return render_csv(doc)
-    if format == "structured":
-        return render_structured(doc)
-    raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
+    renderer = {"table": render_table, "csv": render_csv, "structured": render_structured}.get(format)
+    if renderer is None:
+        raise ChoiceError(f"format must be one of {FORMATS}, got {format!r}")
+    return renderer(doc)
 
 
 def _fixed(value) -> str:
     return format_fixed(value, DISPLAY_PLACES)
 
 
-def _rows(lines: list[str], header: list[str], body: list[list[str]]) -> None:
-    table = [header] + body
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-    for row in table:
-        lines.append("  " + "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+class Section(NamedTuple):
+    """One titled block of a report.
+
+    The table prints the title, ``header`` over ``rows`` and ``totals`` (no
+    columns when ``header`` is empty), then the notes; CSV prints ``csv_header``
+    (default ``header``) over each row cut to its width. ``rows`` and ``notes``
+    may be generators: only a format that prints them iterates them.
+    """
+
+    title: str
+    header: tuple[str, ...]
+    rows: Iterable[list[str]]
+    totals: tuple[list[str], ...] = ()
+    notes: Iterable[str] = ()
+    csv_header: tuple[str, ...] = ()
 
 
-def _consistency_line(report: ConsistencyReport) -> str:
-    verdict = "pass" if report.passed else "FAIL"
-    return (
-        f"lambda_max = {report.lambda_max:.4f}, CI = {report.ci:.4f}, "
-        f"RI = {report.ri:.2f}, CR = {report.cr:.4f} -> {verdict}"
+def _classical(doc: ReportDocument) -> Section | None:
+    if doc.classical is None:
+        return None
+    return Section(
+        "Classical allocation", ("player", "payoff"),
+        ([p, _fixed(v)] for p, v in zip(doc.players, doc.classical.payoffs)),
+        totals=(["total", _fixed(doc.classical.total)],), csv_header=("player", "classical"),
     )
 
 
+def _adjusted(doc: ReportDocument) -> Section | None:
+    adj = doc.adjusted
+    if adj is None:
+        return None
+    notes = [f"efficiency gap: {_fixed(adj.efficiency_gap)}"]
+    short = [p for p, ok in zip(doc.players, adj.rationality_flags) if not ok]
+    if short:
+        notes.append("warning: adjusted payoff below standalone value for " + ", ".join(short))
+    header = ("player", "classical", "adjusted", "delta_g", "delta_v")
+    columns = (adj.base.payoffs, adj.adjusted_payoffs, adj.factors.deviations, adj.adjustments)
+    return Section(
+        f"Adjusted allocation (mode: {adj.mode})", header + ("rational",),
+        ([p, *map(_fixed, values), "yes" if ok else "NO"]
+         for p, ok, *values in zip(doc.players, adj.rationality_flags, *columns)),
+        notes=notes, csv_header=header,
+    )
+
+
+def _factors(doc: ReportDocument) -> Section | None:
+    factors = doc.factors
+    if factors is None or doc.adjusted is not None:
+        return None
+    return Section(
+        "Influence factors", ("player", "factor", "delta_g"),
+        ([p, _fixed(f), _fixed(d)] for p, f, d in zip(doc.players, factors.factors, factors.deviations)),
+    )
+
+
+def _weights(doc: ReportDocument) -> Section | None:
+    h = doc.hierarchy
+    if h is None:
+        return None
+    reports = [("consistency", h.criteria_consistency)] + [
+        (f"{label} scores", h.score_consistency.get(label)) for label in h.criteria_weights.labels
+    ]
+    return Section(
+        "Criteria weights", ("criterion", "weight"),
+        ([c, _fixed(w)] for c, w in zip(h.criteria_weights.labels, h.criteria_weights.w)),
+        notes=(
+            f"{name}: lambda_max = {r.lambda_max:.4f}, CI = {r.ci:.4f}, RI = {r.ri:.2f}, "
+            f"CR = {r.cr:.4f} -> {'pass' if r.passed else 'FAIL'}"
+            for name, r in reports if r is not None
+        ),
+    )
+
+
+def _sampled(doc: ReportDocument) -> Section | None:
+    est = doc.estimates
+    if est is None:
+        return None
+    return Section(
+        f"Sampled allocation ({est.m} permutations)", ("player", "estimate", "std_error"),
+        ([p, _fixed(e), _fixed(se)] for p, e, se in zip(doc.players, est.estimates, est.std_error)),
+        totals=(["total", _fixed(sum(est.estimates, Fraction(0))), ""],), notes=[f"rng: {est.rng}"],
+    )
+
+
+def _violations(doc: ReportDocument) -> Section | None:
+    if doc.validation is None:
+        return None
+    violations = doc.validation.violations
+    return Section(
+        "Superadditivity check", (),
+        (["+".join(v.left.members), "+".join(v.right.members),
+          _fixed(v.left_value), _fixed(v.right_value), _fixed(v.union_value)] for v in violations),
+        notes=map(str, violations) if violations else ["no superadditivity violations"],
+        csv_header=("left", "right", "left_value", "right_value", "union_value"),
+    )
+
+
+# Report kind -> the builder of the one section its CSV prints; the table
+# prints every section present, in this order.
+SECTIONS = {
+    "shapley": _classical,
+    "allocate": _adjusted,
+    "ahp-synthesize": _factors,
+    "ahp-weights": _weights,
+    "sample": _sampled,
+    "validate": _violations,
+}
+
+
 def render_table(doc: ReportDocument) -> str:
-    lines: list[str] = [f"Players: {', '.join(doc.players)}"]
-
-    if doc.classical is not None:
-        lines += ["", "Classical allocation"]
-        body = [[p, _fixed(v)] for p, v in zip(doc.players, doc.classical.payoffs)]
-        body.append(["total", _fixed(doc.classical.total)])
-        _rows(lines, ["player", "payoff"], body)
-
-    if doc.adjusted is not None:
-        adj = doc.adjusted
-        lines += ["", f"Adjusted allocation (mode: {adj.mode})"]
-        body = []
-        for i, p in enumerate(doc.players):
-            body.append(
-                [
-                    p,
-                    _fixed(adj.base.payoffs[i]),
-                    _fixed(adj.adjusted_payoffs[i]),
-                    _fixed(adj.factors.deviations[i]),
-                    _fixed(adj.adjustments[i]),
-                    "yes" if adj.rationality_flags[i] else "NO",
-                ]
-            )
-        _rows(lines, ["player", "classical", "adjusted", "delta_g", "delta_v", "rational"], body)
-        lines.append(f"  efficiency gap: {_fixed(adj.efficiency_gap)}")
-        short = [p for p, ok in zip(doc.players, adj.rationality_flags) if not ok]
-        if short:
-            lines.append(
-                "  warning: adjusted payoff below standalone value for " + ", ".join(short)
-            )
-
-    if doc.factors is not None and doc.adjusted is None:
-        lines += ["", "Influence factors"]
-        body = [
-            [p, _fixed(f), _fixed(d)]
-            for p, f, d in zip(doc.players, doc.factors.factors, doc.factors.deviations)
-        ]
-        _rows(lines, ["player", "factor", "delta_g"], body)
-
-    if doc.hierarchy is not None:
-        h = doc.hierarchy
-        lines += ["", "Criteria weights"]
-        body = [[c, _fixed(w)] for c, w in zip(h.criteria_weights.labels, h.criteria_weights.w)]
-        _rows(lines, ["criterion", "weight"], body)
-        if h.criteria_consistency is not None:
-            lines.append("  consistency: " + _consistency_line(h.criteria_consistency))
-        for label in h.criteria_weights.labels:
-            report = h.score_consistency.get(label)
-            if report is not None:
-                lines.append(f"  {label} scores: " + _consistency_line(report))
-
-    if doc.estimates is not None:
-        est = doc.estimates
-        lines += ["", f"Sampled allocation ({est.m} permutations)"]
-        body = [
-            [p, _fixed(e), _fixed(se)]
-            for p, e, se in zip(doc.players, est.estimates, est.std_error)
-        ]
-        body.append(["total", _fixed(sum(est.estimates, Fraction(0))), ""])
-        _rows(lines, ["player", "estimate", "std_error"], body)
-        lines.append(f"  rng: {est.rng}")
-
-    if doc.validation is not None:
-        lines += ["", "Superadditivity check"]
-        if doc.validation.ok:
-            lines.append("  no superadditivity violations")
-        else:
-            for v in doc.validation.violations:
-                lines.append(f"  {v}")
-
+    lines = [f"Players: {', '.join(doc.players)}"]
+    for section in filter(None, (build(doc) for build in SECTIONS.values())):
+        lines += ["", section.title]
+        if section.header:
+            table = [section.header, *section.rows, *section.totals]
+            widths = [max(map(len, column)) for column in zip(*table)]
+            lines += ["  " + "  ".join(map(str.ljust, row, widths)).rstrip() for row in table]
+        lines += ["  " + note for note in section.notes]
     return "\n".join(lines) + "\n"
 
 
 def render_csv(doc: ReportDocument) -> str:
-    rows = [CSV_HEADERS[doc.kind].split(",")]
-    if doc.kind == "shapley":
-        for p, v in zip(doc.players, doc.classical.payoffs):
-            rows.append([p, _fixed(v)])
-    elif doc.kind == "allocate":
-        adj = doc.adjusted
-        for i, p in enumerate(doc.players):
-            rows.append([
-                p, _fixed(adj.base.payoffs[i]), _fixed(adj.adjusted_payoffs[i]),
-                _fixed(adj.factors.deviations[i]), _fixed(adj.adjustments[i]),
-            ])
-    elif doc.kind == "ahp-weights":
-        wv = doc.hierarchy.criteria_weights
-        for c, w in zip(wv.labels, wv.w):
-            rows.append([c, _fixed(w)])
-    elif doc.kind == "ahp-synthesize":
-        for p, f, d in zip(doc.players, doc.factors.factors, doc.factors.deviations):
-            rows.append([p, _fixed(f), _fixed(d)])
-    elif doc.kind == "sample":
-        est = doc.estimates
-        for p, e, se in zip(doc.players, est.estimates, est.std_error):
-            rows.append([p, _fixed(e), _fixed(se)])
-    elif doc.kind == "validate":
-        for v in doc.validation.violations:
-            rows.append([
-                "+".join(v.left.members),
-                "+".join(v.right.members),
-                _fixed(v.left_value),
-                _fixed(v.right_value),
-                _fixed(v.union_value),
-            ])
+    section = SECTIONS[doc.kind](doc)
+    header = section.csv_header or section.header
+    rows = [header, *(row[: len(header)] for row in section.rows)]
     return "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
 
 
@@ -233,11 +227,8 @@ def render_structured(doc: ReportDocument) -> str:
             "criteria_weights": dict(zip(h.criteria_weights.labels, h.criteria_weights.w)),
         }
         if h.criteria_consistency is not None:
-            block["consistency"] = _consistency_dict(h.criteria_consistency)
-        scores = {
-            label: _consistency_dict(report)
-            for label, report in sorted(h.score_consistency.items())
-        }
+            block["consistency"] = asdict(h.criteria_consistency)
+        scores = {label: asdict(report) for label, report in sorted(h.score_consistency.items())}
         if scores:
             block["score_consistency"] = scores
         out["ahp"] = block
@@ -264,14 +255,3 @@ def render_structured(doc: ReportDocument) -> str:
             ],
         }
     return json.dumps(out, indent=2) + "\n"
-
-
-def _consistency_dict(report: ConsistencyReport) -> dict:
-    return {
-        "n": report.n,
-        "lambda_max": report.lambda_max,
-        "ci": report.ci,
-        "ri": report.ri,
-        "cr": report.cr,
-        "passed": report.passed,
-    }

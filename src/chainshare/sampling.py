@@ -46,6 +46,10 @@ _WORD_BITS = 64
 
 DEFAULT_CHUNK_SIZE = 4096
 
+# Counting a chunk peaks at about 14 arrays of chunk size x n 8-byte words per
+# counting thread (about 430 MiB at this bound and 64 players), so plans are bounded.
+MAX_CHUNK_SIZE = 65_536
+
 
 @dataclass(frozen=True)
 class SamplingPlan:
@@ -58,8 +62,8 @@ class SamplingPlan:
     def __post_init__(self):
         if not isinstance(self.permutations, int) or self.permutations < 1:
             raise SamplingPlanError(f"permutation count must be >= 1, got {self.permutations!r}")
-        if not isinstance(self.chunk_size, int) or self.chunk_size < 1:
-            raise SamplingPlanError(f"chunk size must be >= 1, got {self.chunk_size!r}")
+        if not isinstance(self.chunk_size, int) or not 1 <= self.chunk_size <= MAX_CHUNK_SIZE:
+            raise SamplingPlanError(f"chunk size must be in 1..{MAX_CHUNK_SIZE}, got {self.chunk_size!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise SamplingPlanError(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
 
@@ -303,7 +307,7 @@ def sample_shapley(
     ``workers`` is; chunks merge in index order.
     """
     if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
+        raise SamplingPlanError(f"worker count must be >= 1, got {workers}")
     n = players.n
     m = plan.permutations
     table = _StepTable()

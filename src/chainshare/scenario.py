@@ -40,8 +40,8 @@ from pathlib import Path
 
 from .adjust import MODES, AdjustmentFactors, compute_deltas
 from .ahp import ComparisonMatrix, CriteriaHierarchy, WeightVector, synthesize_factors
-from .errors import ScenarioError
-from .game import CharacteristicFunction, PlayerSet
+from .errors import ChoiceError, IdentifierError, MatrixValidationError, NumberError, ScenarioError
+from .game import CharacteristicFunction, PlayerSet, _unique_labels
 from .rational import exact_string, parse_rational
 
 
@@ -71,6 +71,14 @@ class ScenarioFile:
         return PlayerSet(self.players)
 
 
+def _at(locus: str, build, *args):
+    """``build(*args)``, an identifier, number or matrix it rejects reported as a ScenarioError at ``locus``."""
+    try:
+        return build(*args)
+    except (IdentifierError, NumberError, MatrixValidationError) as exc:
+        raise ScenarioError(str(exc), locus) from None
+
+
 def _parse_number(raw, locus: str) -> Fraction:
     if isinstance(raw, bool) or not isinstance(raw, (str, int)):
         raise ScenarioError(
@@ -80,7 +88,7 @@ def _parse_number(raw, locus: str) -> Fraction:
         )
     try:  # ints take the string path too, so the size bound covers them
         return parse_rational(str(raw))
-    except ValueError as exc:
+    except NumberError as exc:  # as _at does, inline: this runs once per value
         raise ScenarioError(str(exc), locus) from None
 
 
@@ -88,14 +96,9 @@ def _parse_players(doc: dict) -> tuple[str, ...]:
     players = doc.get("players")
     if players is None:
         raise ScenarioError("missing required field", "players")
-    if not isinstance(players, list) or not players:
+    if not isinstance(players, list):
         raise ScenarioError("must be a non-empty list of identifiers", "players")
-    for i, p in enumerate(players):
-        if not isinstance(p, str) or not p:
-            raise ScenarioError("player identifiers must be non-empty strings", f"players[{i}]")
-    if len(set(players)) != len(players):
-        raise ScenarioError("player identifiers must be unique", "players")
-    return tuple(players)
+    return _at("players", PlayerSet, tuple(players)).players
 
 
 def _parse_coalitions(doc: dict, players: tuple[str, ...]) -> dict[int, Fraction]:
@@ -106,26 +109,29 @@ def _parse_coalitions(doc: dict, players: tuple[str, ...]) -> dict[int, Fraction
         raise ScenarioError("must be a non-empty list of {members, value} entries", "coalitions")
     order = {p: i for i, p in enumerate(players)}
     values: dict[int, Fraction] = {}
-    for i, entry in enumerate(coalitions):
-        locus = f"coalitions[{i}]"
-        if not isinstance(entry, dict) or set(entry) != {"members", "value"}:
-            raise ScenarioError("each coalition needs exactly the keys 'members' and 'value'", locus)
-        members = entry["members"]
-        if not isinstance(members, list) or not members:
-            raise ScenarioError("members must be a non-empty list", f"{locus}.members")
-        mask = 0
-        for name in members:
-            if name not in order:
-                raise ScenarioError(f"unknown player {name!r}", f"{locus}.members")
-            bit = 1 << order[name]
-            if mask & bit:
-                raise ScenarioError(f"player {name!r} listed twice", f"{locus}.members")
-            mask |= bit
-        if mask in values:
-            raise ScenarioError(
-                "duplicate coalition {" + ", ".join(sorted(members)) + "}", f"{locus}.members"
-            )
-        values[mask] = _parse_number(entry["value"], f"{locus}.value")
+    try:  # around the loop, not per member: only an unhashable member raises it
+        for i, entry in enumerate(coalitions):
+            locus = f"coalitions[{i}]"
+            if not isinstance(entry, dict) or set(entry) != {"members", "value"}:
+                raise ScenarioError("each coalition needs exactly the keys 'members' and 'value'", locus)
+            members = entry["members"]
+            if not isinstance(members, list) or not members:
+                raise ScenarioError("members must be a non-empty list", f"{locus}.members")
+            mask = 0
+            for name in members:
+                if name not in order:
+                    raise ScenarioError(f"unknown player {name!r}", f"{locus}.members")
+                bit = 1 << order[name]
+                if mask & bit:
+                    raise ScenarioError(f"player {name!r} listed twice", f"{locus}.members")
+                mask |= bit
+            if mask in values:
+                raise ScenarioError(
+                    "duplicate coalition {" + ", ".join(sorted(members)) + "}", f"{locus}.members"
+                )
+            values[mask] = _parse_number(entry["value"], f"{locus}.value")
+    except TypeError:
+        raise ScenarioError(f"unknown player {name!r}", f"{locus}.members") from None
     return values
 
 
@@ -151,13 +157,9 @@ def _parse_ahp(doc: dict, players: tuple[str, ...]) -> AhpBlock | None:
     if unknown:
         raise ScenarioError(f"unknown keys {sorted(unknown)}", "ahp")
     criteria = raw.get("criteria")
-    if not isinstance(criteria, list) or not criteria:
+    if not isinstance(criteria, list):
         raise ScenarioError("must be a non-empty list of labels", "ahp.criteria")
-    if any(not isinstance(c, str) or not c for c in criteria):
-        raise ScenarioError("criterion labels must be non-empty strings", "ahp.criteria")
-    if len(set(criteria)) != len(criteria):
-        raise ScenarioError("criterion labels must be unique", "ahp.criteria")
-    criteria = tuple(criteria)
+    criteria = _at("ahp.criteria", _unique_labels, criteria, "criterion")
     matrix = _parse_matrix(raw.get("criteria_matrix"), criteria, "ahp.criteria_matrix")
     alternatives = raw.get("alternatives")
     if not isinstance(alternatives, dict):
@@ -199,7 +201,7 @@ def parse_scenario(text: str) -> ScenarioFile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON: {exc.msg}", f"line {exc.lineno}, column {exc.colno}") from None
-    except ValueError as exc:  # an integer literal longer than Python will convert
+    except (ValueError, RecursionError) as exc:  # an integer literal too long to convert, or nesting too deep
         raise ScenarioError(str(exc), "document") from None
     if not isinstance(doc, dict):
         raise ScenarioError("the top level must be an object", "document")
@@ -245,7 +247,11 @@ def parse_scenario(text: str) -> ScenarioFile:
 
 def load_scenario(path: str | Path) -> ScenarioFile:
     """Read and parse a scenario file from disk."""
-    return parse_scenario(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(str(exc), "document") from None
+    return parse_scenario(text)
 
 
 def serialize_scenario(sf: ScenarioFile) -> str:
@@ -313,22 +319,17 @@ def scenario_hierarchy(sf: ScenarioFile, *, method: str = "power") -> CriteriaHi
     if sf.ahp is None:
         raise ScenarioError("scenario has no 'ahp' section", "ahp")
     block = sf.ahp
-    criteria = ComparisonMatrix(block.criteria, _float_rows(block.criteria_matrix, "ahp.criteria_matrix"))
+    locus = "ahp.criteria_matrix"
+    criteria = _at(locus, ComparisonMatrix, block.criteria, _float_rows(block.criteria_matrix, locus))
     alternatives: dict[str, ComparisonMatrix | WeightVector] = {}
     for label in block.criteria:
         locus = f"ahp.alternatives.{label}"
         if label in block.alternative_matrices:
-            alternatives[label] = ComparisonMatrix(
-                sf.players, _float_rows(block.alternative_matrices[label], locus)
-            )
+            rows = _float_rows(block.alternative_matrices[label], locus)
+            alternatives[label] = _at(locus, ComparisonMatrix, sf.players, rows)
         else:
-            scores = block.alternative_scores[label]
-            try:
-                alternatives[label] = WeightVector(
-                    sf.players, tuple(_float(x, f"{locus}.{p}") for p, x in zip(sf.players, scores))
-                )
-            except ValueError as exc:
-                raise ScenarioError(str(exc), locus) from None
+            scores = tuple(_float(x, f"{locus}.{p}") for p, x in zip(sf.players, block.alternative_scores[label]))
+            alternatives[label] = _at(locus, WeightVector, sf.players, scores)
     return CriteriaHierarchy.from_matrices(criteria, alternatives, method=method)
 
 
@@ -359,5 +360,5 @@ def bundled_scenario(name: str) -> Path:
     candidate = root / f"{name}.scenario"
     if not candidate.is_file():
         available = sorted(p.name.removesuffix(".scenario") for p in root.iterdir() if p.name.endswith(".scenario"))
-        raise ValueError(f"no bundled scenario {name!r}; available: {', '.join(available)}")
+        raise ChoiceError(f"no bundled scenario {name!r}; available: {', '.join(available)}")
     return Path(str(candidate))

@@ -1,14 +1,21 @@
 import csv
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainshare import cli
 from chainshare.cli import build_parser, main
+from chainshare.report import FORMATS, SECTIONS
+from chainshare.sampling import MAX_CHUNK_SIZE
 from chainshare.scenario import bundled_scenario
+
+from .strategies import scenario_texts
 
 CASE_PATH = str(bundled_scenario("paper_case"))
 HIERARCHY_PATH = str(bundled_scenario("paper_ahp"))
@@ -63,6 +70,15 @@ def test_allocate_normalize_flag(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["adjusted"]["efficiency_gap"]["exact"] == "0"
+
+
+def test_hierarchy_factors_leave_no_efficiency_gap(capsys):
+    for flags in ([], ["--normalize"]):
+        code, out, _ = run(capsys, "allocate", HIERARCHY_PATH, "--mode", "grand", "--format", "structured", *flags)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["adjusted"]["efficiency_gap"]["exact"] == "0"
+        assert sum(Fraction(f["exact"]) for f in doc["factors"].values()) == 1
 
 
 def test_structured_output_carries_exact_values(capsys):
@@ -421,3 +437,49 @@ def test_repeated_in_process_runs_match_a_fresh_parser(capsys, monkeypatch):
     assert [code for code, _, _ in fresh] == [2, 0, 0, 2, 0, 2]
     assert len(builds) == 1
     assert build_parser() is not build_parser()
+
+
+def test_chunk_size_above_the_bound_exits_one(capsys):
+    code, out, err = run(capsys, "sample", CASE_PATH, "--chunk-size", str(MAX_CHUNK_SIZE + 1))
+    assert_one_error_line(code, out, err, "chunk size", str(MAX_CHUNK_SIZE))
+
+
+def test_every_report_kind_has_a_command():
+    assert set(cli.COMMANDS) == set(SECTIONS)
+
+
+COMMAND_LINES = st.sampled_from([
+    (["shapley"], []),
+    (["allocate"], []),
+    (["allocate"], ["--mode", "grand", "--normalize"]),
+    (["ahp", "weights"], ["--method", "geometric"]),
+    (["ahp", "synthesize"], []),
+    (["validate"], ["--strict"]),
+]) | st.builds(
+    lambda permutations, chunk_size, workers, seed: (["sample"], [
+        "--permutations", str(permutations), "--chunk-size", str(chunk_size),
+        "--workers", str(workers), "--seed", str(seed),
+    ]),
+    st.integers(-1, 40), st.sampled_from([1, 7, 64, 0, MAX_CHUNK_SIZE + 1, 10**12]), st.sampled_from([1, 2, 0]),
+    st.sampled_from([0, 5, 2**64 - 1, -1, 2**64]),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "case.scenario"
+
+
+@settings(max_examples=60, deadline=2000)
+@given(content=scenario_texts.map(str.encode) | st.binary(max_size=40), line=COMMAND_LINES,
+       format=st.sampled_from(FORMATS))
+def test_main_returns_0_or_1_or_exits_2_on_any_scenario(fuzz_path, content, line, format):
+    fuzz_path.write_bytes(content)
+    words, flags = line
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = main([*words, str(fuzz_path), *flags, "--format", format])
+        except SystemExit as exc:
+            assert exc.code == 2
+        else:
+            assert code in (0, 1)

@@ -1,0 +1,74 @@
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import chainshare
+from chainshare import errors
+from chainshare.adjust import adjusted_shapley, compute_deltas
+from chainshare.ahp import ComparisonMatrix, WeightVector, dominant_eigen, principal_weights
+from chainshare.game import CharacteristicFunction, Coalition, PlayerSet, coalition_weight
+from chainshare.rational import parse_rational
+from chainshare.report import ReportDocument, render
+from chainshare.sampling import SamplingPlan, sample_shapley
+from chainshare.scenario import bundled_scenario
+
+SOURCES = sorted(Path(chainshare.__file__).parent.glob("*.py"))
+
+
+def test_no_module_raises_a_bare_builtin():
+    bare = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(target, ast.Name) and target.id in ("ValueError", "TypeError"):
+                    bare.append(f"{path.name}:{node.lineno}")
+    assert len(SOURCES) >= 10
+    assert bare == []
+
+
+@pytest.mark.parametrize("name, builtin", [
+    ("IdentifierError", ValueError),
+    ("NumberError", ValueError),
+    ("ChoiceError", ValueError),
+    ("AlignmentError", ValueError),
+    ("MatrixValidationError", ValueError),
+    ("SamplingPlanError", ValueError),
+    ("InputTypeError", TypeError),
+])
+def test_named_errors_keep_their_builtin_base(name, builtin):
+    cls = getattr(errors, name)
+    assert issubclass(cls, errors.ChainshareError) and issubclass(cls, builtin)
+    assert getattr(chainshare, name) is cls
+
+
+GAME = CharacteristicFunction.from_values(("A", "B"), {("A",): 1, ("B",): 1, ("A", "B"): 3})
+FACTORS = compute_deltas(["0.5", "0.5"], GAME.player_set)
+
+
+@pytest.mark.parametrize("error, call", [
+    (errors.IdentifierError, lambda: PlayerSet(("A", "A"))),
+    (errors.IdentifierError, lambda: GAME.player_set.index("Z")),
+    (errors.IdentifierError, lambda: Coalition(GAME.player_set, 4)),
+    (errors.IdentifierError, lambda: ComparisonMatrix(("x", "x"), [[1, 1], [1, 1]])),
+    (errors.NumberError, lambda: parse_rational("12,5")),
+    (errors.NumberError, lambda: compute_deltas(["-0.1", "1.1"], 2)),
+    (errors.NumberError, lambda: WeightVector(("a", "b"), (0.5, 0.6))),
+    (errors.NumberError, lambda: coalition_weight(3, 4)),
+    (errors.ChoiceError, lambda: adjusted_shapley(GAME, FACTORS, "both")),
+    (errors.ChoiceError, lambda: principal_weights(ComparisonMatrix(("a",), [[1]]), method="inverse")),
+    (errors.ChoiceError, lambda: render(ReportDocument("shapley", ("A",)), "xml")),
+    (errors.ChoiceError, lambda: ReportDocument("frobnicate", ("A",))),
+    (errors.ChoiceError, lambda: bundled_scenario("nonexistent")),
+    (errors.AlignmentError, lambda: compute_deltas(["1"], 2)),
+    (errors.AlignmentError, lambda: WeightVector(("a", "b"), (1.0,))),
+    (errors.MatrixValidationError, lambda: dominant_eigen(np.ones((2, 3)))),
+    (errors.SamplingPlanError, lambda: sample_shapley(GAME, GAME.player_set, SamplingPlan(5, seed=0), workers=0)),
+    (errors.InputTypeError, lambda: parse_rational(True)),
+    (errors.InputTypeError, lambda: coalition_weight(3.0, 1)),
+])
+def test_each_rule_raises_its_named_error(error, call):
+    with pytest.raises(error):
+        call()

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 from chainshare import sampling
 from chainshare.errors import FloatRangeError, OracleError, SamplingPlanError
 from chainshare.game import CharacteristicFunction, PlayerSet, shapley_exact
-from chainshare.sampling import EstimateReport, SamplingPlan, sample_shapley
+from chainshare.sampling import (
+    DEFAULT_CHUNK_SIZE,
+    MAX_CHUNK_SIZE,
+    EstimateReport,
+    SamplingPlan,
+    sample_shapley,
+)
 
 from .conftest import CASE_CLASSICAL
 from .oracles import as_from_values, random_game_table
@@ -375,6 +381,14 @@ def test_plan_validation():
     with pytest.raises(ValueError, match="worker"):
         game = CharacteristicFunction.from_values(("P",), {("P",): 1})
         sample_shapley(game, game.player_set, SamplingPlan(10, seed=1), workers=0)
+
+
+def test_chunk_size_is_bounded():
+    for chunk_size in (256, 1000, DEFAULT_CHUNK_SIZE, MAX_CHUNK_SIZE):
+        assert SamplingPlan(10**9, seed=0, chunk_size=chunk_size).chunk_size == chunk_size
+    # a plan is checked when it is made, before any chunk is drawn
+    with pytest.raises(SamplingPlanError, match=str(MAX_CHUNK_SIZE)):
+        SamplingPlan(10**12, seed=0, chunk_size=MAX_CHUNK_SIZE + 1)
 
 
 def test_oracle_failure_carries_permutation_index():

@@ -2,7 +2,9 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+from chainshare.adjust import adjusted_shapley
 from chainshare.errors import IncompleteGameError, ScenarioError
 from chainshare.scenario import (
     AhpBlock,
@@ -15,6 +17,8 @@ from chainshare.scenario import (
     scenario_hierarchy,
     serialize_scenario,
 )
+
+from .strategies import scenario_texts
 
 MINIMAL = {
     "players": ["A", "B"],
@@ -58,6 +62,13 @@ def test_parse_bundled_hierarchy():
     factors = resolve_factors(sf)
     assert abs(float(factors.total) - 1.0) < 1e-9
     assert float(factors.factors[0]) == pytest.approx(0.6648 / 0.9984, abs=1e-9)
+
+
+def test_bundled_hierarchy_factors_are_exact():
+    sf = load_scenario(bundled_scenario("paper_ahp"))
+    factors = resolve_factors(sf)
+    assert factors.total == 1
+    assert adjusted_shapley(scenario_game(sf), factors, "grand").efficiency_gap == 0
 
 
 def test_bundled_scenario_unknown_name():
@@ -267,3 +278,54 @@ def test_resolve_factors_variants():
 def test_scenario_hierarchy_requires_ahp():
     with pytest.raises(ScenarioError, match="no 'ahp' section"):
         scenario_hierarchy(parse_scenario(doc()))
+
+
+def test_unhashable_member_names_its_coalition():
+    bad = doc(coalitions=[{"members": [["A"]], "value": "1"}])
+    with pytest.raises(ScenarioError, match="unknown player") as err:
+        parse_scenario(bad)
+    assert locus_of(err) == "coalitions[0].members"
+
+
+def test_deep_nesting_is_a_document_error():
+    with pytest.raises(ScenarioError, match="recursion") as err:
+        parse_scenario("[" * 100_000)
+    assert locus_of(err) == "document"
+
+
+def test_text_that_is_not_utf8_is_a_document_error(tmp_path):
+    path = tmp_path / "latin1.scenario"
+    path.write_bytes(b'{"players": ["\xe9"]}')
+    with pytest.raises(ScenarioError, match="utf-8") as err:
+        load_scenario(path)
+    assert locus_of(err) == "document"
+
+
+def test_player_and_criterion_rules_come_from_the_library():
+    with pytest.raises(ScenarioError, match="non-empty strings") as err:
+        parse_scenario(doc(players=["A", 1]))
+    assert locus_of(err) == "players"
+    for criteria in ([], ["k1", "k1"], ["k1", ""]):
+        with pytest.raises(ScenarioError, match="criterion label") as err:
+            parse_scenario(doc(ahp={**AHP_BLOCK, "criteria": criteria}))
+        assert locus_of(err) == "ahp.criteria"
+
+
+def test_hierarchy_matrix_errors_name_their_matrix():
+    block = {**AHP_BLOCK, "criteria_matrix": [["1", "2"], ["2", "1"]]}
+    with pytest.raises(ScenarioError, match="reciprocal") as err:
+        scenario_hierarchy(parse_scenario(doc(ahp=block)))
+    assert locus_of(err) == "ahp.criteria_matrix"
+    block = {**AHP_BLOCK, "alternatives": {**AHP_BLOCK["alternatives"], "k2": [["2", "3"], ["1/3", "1"]]}}
+    with pytest.raises(ScenarioError, match="diagonal") as err:
+        scenario_hierarchy(parse_scenario(doc(ahp=block)))
+    assert locus_of(err) == "ahp.alternatives.k2"
+
+
+@settings(max_examples=100, deadline=2000)
+@given(text=scenario_texts)
+def test_parse_scenario_raises_only_scenario_errors(text):
+    try:
+        parse_scenario(text)
+    except ScenarioError:
+        pass
