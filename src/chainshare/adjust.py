@@ -62,15 +62,14 @@ def compute_deltas(
     players: PlayerSet | Sequence[str] | int,
     *,
     normalize: bool = False,
-    tolerance: Fraction = FACTOR_SUM_TOLERANCE,
 ) -> AdjustmentFactors:
     """Validate raw factors and derive their deviations G_i - 1/n.
 
     ``factors`` is either a mapping keyed by player or a sequence aligned
     with the player order; ``players`` may be a PlayerSet, a sequence of
     names, or a bare count (names default to p1..pn). Factors must be
-    non-negative and sum to 1 within ``tolerance`` unless ``normalize``
-    rescales them to sum to exactly 1 first.
+    non-negative and sum to 1 within ``FACTOR_SUM_TOLERANCE`` (0.01)
+    unless ``normalize`` rescales them to sum to exactly 1 first.
     """
     player_set = _as_player_set(players)
     n = player_set.n
@@ -90,10 +89,10 @@ def compute_deltas(
     total = sum(raw, Fraction(0))
     if normalize:
         if total <= 0:
-            raise FactorSumError(total, tolerance, "factors that sum to zero cannot be normalized")
+            raise FactorSumError(total, FACTOR_SUM_TOLERANCE, "factors that sum to zero cannot be normalized")
         raw = [value / total for value in raw]
-    elif abs(total - 1) > tolerance:
-        raise FactorSumError(total, tolerance)
+    elif abs(total - 1) > FACTOR_SUM_TOLERANCE:
+        raise FactorSumError(total, FACTOR_SUM_TOLERANCE)
     uniform = Fraction(1, n)
     return AdjustmentFactors(
         player_set=player_set,

@@ -138,14 +138,13 @@ def consistency_report(lambda_max: float, n: int) -> ConsistencyReport:
 def dominant_eigen(
     a: np.ndarray,
     *,
-    tolerance: float = POWER_TOLERANCE,
     max_iterations: int = POWER_MAX_ITERATIONS,
 ) -> tuple[np.ndarray, float]:
     """Principal eigenpair of a positive matrix by power iteration.
 
     Iterates x -> A x / sum(A x) from the uniform vector until the
-    successive-iterate max-norm drops below ``tolerance``. Returns the
-    sum-1 eigenvector and lambda_max = mean((A w)_i / w_i). The
+    successive-iterate max-norm drops below ``POWER_TOLERANCE`` (1e-12).
+    Returns the sum-1 eigenvector and lambda_max = mean((A w)_i / w_i). The
     eigenvector is invariant under positive scaling of ``a``; the
     eigenvalue scales linearly.
     """
@@ -162,7 +161,7 @@ def dominant_eigen(
         y /= y.sum()
         step = float(np.max(np.abs(y - x)))
         x = y
-        if step < tolerance:
+        if step < POWER_TOLERANCE:
             break
     else:
         raise IterationLimitError(max_iterations, step)

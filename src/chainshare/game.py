@@ -9,26 +9,33 @@ coalitions and is capped at 20 players; larger games belong to
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from itertools import compress, islice
+from operator import add, mul
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import EnumerationBoundError, IdentifierError, IncompleteGameError, InputTypeError, NumberError
-from .rational import RationalLike, parse_rational
+from .rational import RationalLike, parse_pair, parse_rational
 
 ENUMERATION_MAX_PLAYERS = 20
 
 
 def _unique_labels(labels: Iterable[str], what: str) -> tuple[str, ...]:
-    """``labels`` as a tuple: at least one, each a non-empty string, none repeated."""
+    """``labels`` as a tuple: at least one, each a non-empty string that UTF-8
+    can encode (so a report can print it), none repeated."""
     out = tuple(labels)
     if not out:
         raise IdentifierError(f"at least one {what} label is needed")
     for label in out:
         if not isinstance(label, str) or not label:
             raise IdentifierError(f"{what} labels must be non-empty strings, got {label!r}")
+        try:
+            label.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate
+            raise IdentifierError(f"{what} labels must be encodable as UTF-8, got {label!r}") from None
     if len(set(out)) != len(out):
         raise IdentifierError(f"{what} labels must be unique")
     return out
@@ -123,13 +130,77 @@ def coalition_weight(n: int, s: int) -> Fraction:
     return Fraction(math.factorial(n - s) * math.factorial(s - 1), math.factorial(n))
 
 
+class _Sparse(dict):
+    """Slots of a table past the enumeration bound: only the coalitions given."""
+
+    def __missing__(self, mask):
+        return 0
+
+
+class ValueTable(Mapping[int, Fraction]):
+    """Coalition values of ``n`` players as exact integer pairs, read as a
+    Mapping of Fractions.
+
+    ``numerators[mask]`` and ``denominators[mask]`` hold v(S) for the
+    coalition with bit-mask ``mask``; the pair need not be in lowest terms,
+    and a coalition without a value has denominator 0. Up to the
+    enumeration bound the two are lists over every mask, with the empty
+    coalition's (0, 1) in slot 0, which is not a key. Past it they are
+    dicts holding only the coalitions given, since no game is built there.
+    """
+
+    __slots__ = ("n", "numerators", "denominators")
+
+    def __init__(self, n: int):
+        self.n = n
+        if n <= ENUMERATION_MAX_PLAYERS:
+            self.numerators = [0] * (1 << n)
+            self.denominators = [1] + [0] * ((1 << n) - 1)
+        else:
+            self.numerators, self.denominators = {}, _Sparse()
+
+    def __getitem__(self, mask) -> Fraction:
+        try:
+            denominator = self.denominators[mask] if isinstance(mask, int) and mask > 0 else 0
+        except IndexError:
+            denominator = 0
+        if not denominator:
+            raise KeyError(mask)
+        return Fraction(self.numerators[mask], denominator)
+
+    def __iter__(self) -> Iterator[int]:
+        if isinstance(self.denominators, dict):
+            return iter(self.denominators)
+        return compress(range(1, len(self.denominators)), islice(self.denominators, 1, None))
+
+    def __len__(self) -> int:
+        if isinstance(self.denominators, dict):
+            return len(self.denominators)
+        return len(self.denominators) - 1 - self.denominators.count(0)
+
+    def __repr__(self) -> str:
+        return f"ValueTable({dict(self)!r})"
+
+    def scaled(self) -> tuple[list[int], int]:
+        """v(S) * D by mask (0 for the empty coalition), and D, the lcm of
+        the denominators, for a table over every mask."""
+        denominators = set(self.denominators)
+        scale = math.lcm(*denominators)
+        factor = {d: scale // d for d in denominators}
+        return list(map(mul, self.numerators, map(factor.__getitem__, self.denominators))), scale
+
+
 @dataclass(frozen=True)
 class CharacteristicFunction:
     """Total map from non-empty coalitions to exact rational values.
 
     ``values`` is keyed by coalition bit-mask and must cover every one of
     the 2**n - 1 non-empty coalitions; the empty coalition is implicitly
-    worth 0 and is never stored.
+    worth 0 and is never stored. The game holds them in one
+    :class:`ValueTable` of integer pairs, and ``values`` is that table: a
+    read-only Mapping of Fractions. A ValueTable over these players (as a
+    parsed scenario holds) is used as it is; any other Mapping is read
+    into a new one.
     """
 
     player_set: PlayerSet
@@ -139,15 +210,16 @@ class CharacteristicFunction:
         n = self.player_set.n
         if n > ENUMERATION_MAX_PLAYERS:
             raise EnumerationBoundError(n, ENUMERATION_MAX_PLAYERS)
-        table: dict[int, Fraction] = {}
-        for mask, value in self.values.items():
-            if not isinstance(mask, int) or not 0 < mask < (1 << n):
-                raise IdentifierError(f"coalition key {mask!r} is not a non-empty mask for {n} players")
-            table[mask] = parse_rational(value)
-        for mask in range(1, 1 << n):
-            if mask not in table:
-                raise IncompleteGameError(Coalition(self.player_set, mask).members)
-        object.__setattr__(self, "values", MappingProxyType(table))
+        table = self.values
+        if not isinstance(table, ValueTable) or table.n != n:
+            table = ValueTable(n)
+            for mask, value in self.values.items():
+                if not isinstance(mask, int) or not 0 < mask < (1 << n):
+                    raise IdentifierError(f"coalition key {mask!r} is not a non-empty mask for {n} players")
+                table.numerators[mask], table.denominators[mask] = parse_pair(value)
+            object.__setattr__(self, "values", table)
+        if 0 in table.denominators:
+            raise IncompleteGameError(Coalition(self.player_set, table.denominators.index(0)).members)
 
     @classmethod
     def from_values(
@@ -206,32 +278,39 @@ class Allocation:
         return dict(zip(self.player_set.players, self.payoffs))
 
 
-def _payoffs_and_levers(game: CharacteristicFunction) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Shapley payoffs and eq3 levers A_i from one pass over the value table.
+def _member_sums(table: list[int], n: int) -> list[int]:
+    """Per player i, the sum of ``table[mask]`` over the masks holding i.
 
-    With D the lcm of the denominators, each v(S) * D is an int; the pass
-    sums it per size s into T[s] and, per member i, into In[i][s]. With
-    c(s) = (n-s)!(s-1)! = n! W(s), A_i = sum_s c(s) In[i][s] / (n! D), and
-    since each S without i is S' \\ {i} for one S' of size |S| + 1,
-    phi_i = A_i - sum_s c(s+1) (T[s] - In[i][s]) / (n! D).
+    Folds the table in half n times: the upper half is the masks holding
+    the highest player left, and adding it onto the lower half drops that
+    player from every mask.
+    """
+    sums = [0] * n
+    for i in reversed(range(n)):
+        upper = table[1 << i:]
+        sums[i] = sum(upper)
+        table = list(map(add, table[:1 << i], upper))
+    return sums
+
+
+def _payoffs_and_levers(game: CharacteristicFunction) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Shapley payoffs and eq3 levers A_i from the game's scaled value table.
+
+    With D the lcm of the denominators, x(S) = v(S) * D is an int. With
+    c(s) = (n-s)!(s-1)! = n! W(s) and c(n+1) = 0, n! D A_i is the sum of
+    c(|S|) x(S) over the S holding i. Each S without i is S' \\ {i} for
+    one S' of size |S| + 1 holding i, so with b(S) = c(|S|+1) x(S),
+    n! D phi_i = n! D A_i - (sum of b over all S) + (sum of b over the S
+    holding i).
     """
     n = game.n
-    scale = math.lcm(*(value.denominator for value in game.values.values()))
-    totals = [0] * (n + 1)
-    inside = [[0] * (n + 1) for _ in range(n)]
-    for mask, value in game.values.items():
-        scaled = value.numerator * (scale // value.denominator)
-        size = mask.bit_count()
-        totals[size] += scaled
-        remaining = mask
-        while remaining:
-            bit = remaining & -remaining
-            remaining ^= bit
-            inside[bit.bit_length() - 1][size] += scaled
-    c = [0] + [math.factorial(n - s) * math.factorial(s - 1) for s in range(1, n + 1)]
-    levers = [sum(w * x for w, x in zip(c, row)) for row in inside]
-    payoffs = [a - sum(c[s + 1] * (totals[s] - row[s]) for s in range(1, n))
-               for a, row in zip(levers, inside)]
+    scaled, scale = game.values.scaled()
+    c = [0] + [math.factorial(n - s) * math.factorial(s - 1) for s in range(1, n + 1)] + [0]
+    sizes = list(map(int.bit_count, range(1 << n)))
+    levers = _member_sums(list(map(mul, map(c.__getitem__, sizes), scaled)), n)
+    after = list(map(mul, map(c[1:].__getitem__, sizes), scaled))
+    total = sum(after)
+    payoffs = [a - total + b for a, b in zip(levers, _member_sums(after, n))]
     denominator = math.factorial(n) * scale
     return (tuple(Fraction(x, denominator) for x in payoffs),
             tuple(Fraction(x, denominator) for x in levers))
@@ -291,28 +370,30 @@ def validate_game(game: CharacteristicFunction) -> ValidationReport:
     """List every disjoint pair S, T with v(S u T) < v(S) + v(T).
 
     Exhaustive over all unordered disjoint pairs, which is O(3**n);
-    practical through roughly 14 players.
+    practical through roughly 14 players. Compares the values as ints
+    over their common denominator.
     """
     violations: list[SuperadditivityViolation] = []
-    values = game.values
+    scaled, _ = game.values.scaled()
+    value = functools.cache(game.values.__getitem__)  # one Fraction per coalition its violations share
     n = game.n
     for union in range(1, 1 << n):
         if union.bit_count() < 2:
             continue
-        v_union = values[union]
+        v_union = scaled[union]
         # Proper non-empty submasks; keep left < right to visit each
         # unordered pair once.
         left = (union - 1) & union
         while left:
             right = union ^ left
-            if left < right and v_union < values[left] + values[right]:
+            if left < right and v_union < scaled[left] + scaled[right]:
                 violations.append(
                     SuperadditivityViolation(
                         left=Coalition(game.player_set, left),
                         right=Coalition(game.player_set, right),
-                        left_value=values[left],
-                        right_value=values[right],
-                        union_value=v_union,
+                        left_value=value(left),
+                        right_value=value(right),
+                        union_value=value(union),
                     )
                 )
             left = (left - 1) & union

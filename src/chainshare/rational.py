@@ -3,11 +3,15 @@
 Game values travel through the package as :class:`fractions.Fraction` so
 that allocation identities (efficiency, telescoping) are equalities
 rather than tolerances. Inputs arrive as decimal strings, ratio strings,
-ints, Decimals, or floats; every conversion here is exact.
+ints, Decimals, or floats; every conversion here is exact. Coalition
+values are read as integer (numerator, denominator) pairs instead, by
+:func:`parse_pair`, which builds no Fraction for a plain decimal or ratio.
 """
 
 from __future__ import annotations
 
+import functools
+import re
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -19,6 +23,9 @@ RationalLike = int | str | Fraction | Decimal | float
 # expansion: more make integers too large to build or print. exact_decimal
 # writes no longer expansion, so serialized scenarios parse again.
 MAX_DIGITS = 1000
+
+# A plain ASCII decimal ("-12.50", "7") or ratio with a non-zero denominator ("4150/3").
+_PLAIN = re.compile(r"(-?[0-9]+)(?:\.([0-9]+))?|([0-9]+)/([0-9]*[1-9][0-9]*)").fullmatch
 
 
 def _check_size(text: str) -> None:
@@ -60,6 +67,30 @@ def parse_rational(value: RationalLike) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise NumberError(f"not a decimal or ratio string: {value!r}") from exc
     raise InputTypeError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+@functools.cache
+def _power_of_ten(places: int) -> int:
+    return 10**places  # one int per length, shared by every pair with that many places
+
+
+def parse_pair(value: RationalLike) -> tuple[int, int]:
+    """``value`` as an exact (numerator, denominator) pair, the denominator positive.
+
+    Takes what :func:`parse_rational` takes and raises what it raises. A
+    plain ASCII decimal or ratio string within ``MAX_DIGITS`` characters
+    is read straight into ints, and its pair need not be in lowest terms
+    ("1.50" gives (150, 100)); every other input goes through
+    :func:`parse_rational`.
+    """
+    if type(value) is str and len(value) <= MAX_DIGITS:
+        plain = _PLAIN(value)
+        if plain:
+            whole, places, numerator, denominator = plain.groups("")
+            if numerator:
+                return int(numerator), int(denominator)
+            return int(whole + places), _power_of_ten(len(places))
+    return parse_rational(value).as_integer_ratio()
 
 
 def exact_decimal(value: Fraction) -> str | None:

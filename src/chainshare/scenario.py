@@ -23,7 +23,9 @@ A scenario is a UTF-8 JSON document::
     }
 
 Numbers are strings, either decimals ("0.6648") or integer ratios
-("6648/9984"), and are parsed exactly. ``factors`` and ``ahp`` are
+("6648/9984"), and are parsed exactly. Coalition values are read once,
+straight into the integer-pair :class:`~chainshare.game.ValueTable` that
+the game built from the scenario uses as it is. ``factors`` and ``ahp`` are
 mutually exclusive; an alternatives entry is a player->score map of
 direct normalized scores or a full pairwise matrix over the players in
 order. Member lists are canonicalized on parse, so permuted lists name
@@ -37,12 +39,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from typing import Mapping
 
 from .adjust import MODES, AdjustmentFactors, compute_deltas
 from .ahp import ComparisonMatrix, CriteriaHierarchy, WeightVector, synthesize_factors
 from .errors import ChoiceError, IdentifierError, MatrixValidationError, NumberError, ScenarioError
-from .game import CharacteristicFunction, PlayerSet, _unique_labels
-from .rational import exact_string, parse_rational
+from .game import CharacteristicFunction, PlayerSet, ValueTable, _unique_labels
+from .rational import exact_string, parse_pair
 
 
 @dataclass(frozen=True)
@@ -57,10 +60,14 @@ class AhpBlock:
 
 @dataclass(frozen=True)
 class ScenarioFile:
-    """Fully validated scenario content, numbers held exactly."""
+    """Fully validated scenario content, numbers held exactly.
+
+    A parsed scenario's ``coalition_values`` is a read-only
+    :class:`~chainshare.game.ValueTable`: Fractions keyed by coalition mask.
+    """
 
     players: tuple[str, ...]
-    coalition_values: dict[int, Fraction]
+    coalition_values: Mapping[int, Fraction]
     factors: tuple[Fraction, ...] | None = None
     mode: str | None = None
     normalize_factors: bool = False
@@ -79,17 +86,19 @@ def _at(locus: str, build, *args):
         raise ScenarioError(str(exc), locus) from None
 
 
+def _number_pair(raw) -> tuple[int, int]:
+    if type(raw) is not str:  # ints take the string path too, so the size bound covers them
+        if isinstance(raw, bool) or not isinstance(raw, (str, int)):
+            raise NumberError(
+                f"numbers must be strings (or ints), got {type(raw).__name__}; "
+                "write values like \"1000\" or \"0.6648\" to keep them exact"
+            )
+        raw = str(raw)
+    return parse_pair(raw)
+
+
 def _parse_number(raw, locus: str) -> Fraction:
-    if isinstance(raw, bool) or not isinstance(raw, (str, int)):
-        raise ScenarioError(
-            f"numbers must be strings (or ints), got {type(raw).__name__}; "
-            "write values like \"1000\" or \"0.6648\" to keep them exact",
-            locus,
-        )
-    try:  # ints take the string path too, so the size bound covers them
-        return parse_rational(str(raw))
-    except NumberError as exc:  # as _at does, inline: this runs once per value
-        raise ScenarioError(str(exc), locus) from None
+    return Fraction(*_at(locus, _number_pair, raw))
 
 
 def _parse_players(doc: dict) -> tuple[str, ...]:
@@ -101,38 +110,51 @@ def _parse_players(doc: dict) -> tuple[str, ...]:
     return _at("players", PlayerSet, tuple(players)).players
 
 
-def _parse_coalitions(doc: dict, players: tuple[str, ...]) -> dict[int, Fraction]:
+def _reject_members(members: list, bits: dict[str, int], locus: str) -> None:
+    """Raise for the first unknown or repeated name of ``members``."""
+    mask = 0
+    for name in members:
+        try:
+            bit = bits[name]
+        except (KeyError, TypeError):  # an unhashable name is no player either
+            raise ScenarioError(f"unknown player {name!r}", locus) from None
+        if mask & bit:
+            raise ScenarioError(f"player {name!r} listed twice", locus)
+        mask |= bit
+
+
+def _parse_coalitions(doc: dict, players: tuple[str, ...]) -> ValueTable:
     coalitions = doc.get("coalitions")
     if coalitions is None:
         raise ScenarioError("missing required field", "coalitions")
     if not isinstance(coalitions, list) or not coalitions:
         raise ScenarioError("must be a non-empty list of {members, value} entries", "coalitions")
-    order = {p: i for i, p in enumerate(players)}
-    values: dict[int, Fraction] = {}
-    try:  # around the loop, not per member: only an unhashable member raises it
+    bits = {p: 1 << i for i, p in enumerate(players)}
+    table = ValueTable(len(players))
+    numerators, denominators = table.numerators, table.denominators
+    keys = {"members", "value"}
+    # Loci are built only to raise: this loop runs once per coalition.
+    try:  # around the loop, not per value: only the value's reader raises it
         for i, entry in enumerate(coalitions):
-            locus = f"coalitions[{i}]"
-            if not isinstance(entry, dict) or set(entry) != {"members", "value"}:
-                raise ScenarioError("each coalition needs exactly the keys 'members' and 'value'", locus)
+            if not isinstance(entry, dict) or entry.keys() != keys:
+                raise ScenarioError("each coalition needs exactly the keys 'members' and 'value'", f"coalitions[{i}]")
             members = entry["members"]
             if not isinstance(members, list) or not members:
-                raise ScenarioError("members must be a non-empty list", f"{locus}.members")
-            mask = 0
-            for name in members:
-                if name not in order:
-                    raise ScenarioError(f"unknown player {name!r}", f"{locus}.members")
-                bit = 1 << order[name]
-                if mask & bit:
-                    raise ScenarioError(f"player {name!r} listed twice", f"{locus}.members")
-                mask |= bit
-            if mask in values:
+                raise ScenarioError("members must be a non-empty list", f"coalitions[{i}].members")
+            try:
+                mask = sum(map(bits.__getitem__, members))
+            except (KeyError, TypeError):
+                mask = 0
+            if mask.bit_count() != len(members):  # an unknown name, or a bit added twice
+                _reject_members(members, bits, f"coalitions[{i}].members")
+            if denominators[mask]:
                 raise ScenarioError(
-                    "duplicate coalition {" + ", ".join(sorted(members)) + "}", f"{locus}.members"
+                    "duplicate coalition {" + ", ".join(sorted(members)) + "}", f"coalitions[{i}].members"
                 )
-            values[mask] = _parse_number(entry["value"], f"{locus}.value")
-    except TypeError:
-        raise ScenarioError(f"unknown player {name!r}", f"{locus}.members") from None
-    return values
+            numerators[mask], denominators[mask] = _number_pair(entry["value"])
+    except NumberError as exc:
+        raise ScenarioError(str(exc), f"coalitions[{i}].value") from None
+    return table
 
 
 def _parse_matrix(raw, labels: tuple[str, ...], locus: str) -> tuple[tuple[Fraction, ...], ...]:

@@ -72,6 +72,40 @@ def eq3_per_term(
     return out
 
 
+def superadditivity_violations(
+    players: tuple[str, ...], values: GameTable
+) -> list[tuple[frozenset, frozenset, Fraction, Fraction, Fraction]]:
+    """Every unordered pair of disjoint coalitions S, T with v(S u T) < v(S) + v(T).
+
+    Each entry is (S, T, v(S), v(T), v(S u T)), summed as Fractions. The
+    list is in validate_game's documented order: read each coalition as
+    the binary number with bit i for players[i]; unions ascending, then
+    within a union the left coalition descending, with left < right.
+    """
+    def rank(coalition: frozenset) -> int:
+        return sum(2 ** players.index(p) for p in coalition)
+
+    found = []
+    for union in values:
+        for r in range(1, len(union)):
+            for combo in itertools.combinations(sorted(union), r):
+                left = frozenset(combo)
+                right = union - left
+                if rank(left) < rank(right) and values[union] < values[left] + values[right]:
+                    found.append((left, right, values[left], values[right], values[union]))
+    return sorted(found, key=lambda v: (rank(v[0] | v[1]), -rank(v[0])))
+
+
+def mixed_value(rng: random.Random) -> str:
+    """A decimal, a p/q ratio or an integer string, each possibly negative."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return f"{rng.choice('-+')}{rng.randint(0, 9999)}.{rng.randint(0, 999):03d}"
+    if kind == 1:
+        return f"{rng.randint(-9999, 9999)}/{rng.randint(1, 97)}"
+    return str(rng.randint(-9999, 9999))
+
+
 def random_game_table(
     rng: random.Random,
     players: tuple[str, ...],

@@ -12,6 +12,8 @@ import json
 
 from hypothesis import strategies as st
 
+from chainshare.rational import MAX_DIGITS
+
 NAMES = ("A", "B", "C")
 
 json_values = st.recursive(
@@ -95,3 +97,41 @@ def scenario_documents(draw) -> dict:
 
 
 scenario_texts = scenario_documents().map(json.dumps) | st.text(max_size=40)
+
+
+# Number strings in and around the forms Fraction(s.strip()) reads: plain
+# ASCII decimals and ratios, and every variation the general reader must
+# settle the same way (underscores, other scripts' digits, whitespace,
+# signs, bare points, exponents, zero denominators, lengths at the bound).
+_digit_runs = st.text("0123456789", min_size=1, max_size=8) | st.sampled_from(
+    ["0", "00", "1_000", "1__0", "_1", "1_", "١٢", "٣", "١_٢", "²"]
+)
+_signs = st.sampled_from(["", "", "-", "+", "--", "+-"])
+_spaces = st.sampled_from(["", "", " ", "\t", "\n ", "\u00a0"])
+_tails = st.one_of(
+    st.just(""),
+    _digit_runs.map(lambda d: "." + d),
+    st.sampled_from([".", "/0", "/00", "/", "e", "E+", "/-3", ". 5"]),
+    # exponents up to 9999: Fraction builds 10**exponent, however many digits that is
+    st.tuples(st.sampled_from(["e", "E", "e-", "E+", "e+"]), _digit_runs.filter(lambda d: len(d) <= 4)).map("".join),
+    st.tuples(st.sampled_from(["/", " / ", "/ "]), _digit_runs).map("".join),
+)
+_short_numbers = st.tuples(_spaces, _signs, _digit_runs | st.just(""), _tails, _spaces).map("".join)
+
+
+@st.composite
+def _long_numbers(draw) -> str:
+    """A plain or ratio number string of about MAX_DIGITS characters."""
+    length = draw(st.integers(MAX_DIGITS - 3, MAX_DIGITS + 3))
+    head = draw(st.sampled_from(["", "-", "0.", "-1.", "7/", " "]))
+    return head + "9" * (length - len(head))
+
+
+number_texts = _short_numbers | _long_numbers() | st.text("0123456789._/-+eE ١", max_size=8)
+
+# What a scenario may hold where a number belongs: the strings above, JSON
+# ints (some at the digit bound) and bools.
+_sizes = st.integers(MAX_DIGITS - 2, MAX_DIGITS + 2)
+scenario_numbers = number_texts | st.integers() | st.booleans() | st.builds(
+    lambda places, sign: sign * (10**places - 1), _sizes, st.sampled_from([1, -1])
+)

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +20,7 @@ from chainshare.scenario import bundled_scenario
 
 from .strategies import scenario_texts
 
+ROOT = Path(__file__).resolve().parent.parent
 CASE_PATH = str(bundled_scenario("paper_case"))
 HIERARCHY_PATH = str(bundled_scenario("paper_ahp"))
 
@@ -404,6 +408,30 @@ def test_ahp_matrix_entry_beyond_the_float_range_exits_one(tmp_path, capsys):
     })
     for command in (["ahp", "weights"], ["ahp", "synthesize"]):
         assert_one_error_line(*run(capsys, *command, path), "ahp.criteria_matrix[0][1]", "float range")
+
+
+@pytest.mark.parametrize("where,locus", [("players", "players"), ("criteria", "ahp.criteria")])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_label_with_a_lone_surrogate_exits_one_in_a_real_process(tmp_path, where, locus, to_file):
+    # An in-process run writes to a StringIO, which takes any str: only a real
+    # stdout or file shows whether the report could be encoded.
+    players, criteria = ["A", "B"], ["R1", "R2"]
+    (players if where == "players" else criteria)[1] = "\ud800"
+    path = write_scenario(tmp_path, players, ahp={
+        "criteria": criteria,
+        "criteria_matrix": [["1", "2"], ["1/2", "1"]],
+        "alternatives": {c: {p: "1/2" for p in players} for c in criteria},
+    })
+    command = ["shapley", path] if where == "players" else ["ahp", "weights", path]
+    output = tmp_path / "report.txt"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "chainshare.cli", *command, *(["--output", str(output)] if to_file else [])],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert_one_error_line(result.returncode, result.stdout, result.stderr, f"error: {locus}: ", "UTF-8")
+    assert not output.exists()
 
 
 def test_repeated_in_process_runs_match_a_fresh_parser(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -15,10 +16,18 @@ from chainshare.game import (
     shapley_terms,
     validate_game,
 )
-from chainshare.rational import format_fixed, parse_rational
+from chainshare.rational import exact_string, format_fixed, parse_rational
+from chainshare.scenario import parse_scenario, scenario_game
 
 from .conftest import CASE_CLASSICAL, CASE_VALUES
-from .oracles import as_from_values, per_player_lever, permutation_shapley, random_game_table
+from .oracles import (
+    as_from_values,
+    mixed_value,
+    per_player_lever,
+    permutation_shapley,
+    random_game_table,
+    superadditivity_violations,
+)
 
 
 def test_coalition_weight_three_player_terms():
@@ -280,14 +289,25 @@ def test_validate_game_counts_every_pair():
     assert len(report.violations) == 6
 
 
-def mixed_value(rng: random.Random) -> str:
-    """A decimal, a p/q ratio or an integer, each possibly negative."""
-    kind = rng.randrange(3)
-    if kind == 0:
-        return f"{rng.choice('-+')}{rng.randint(0, 9999)}.{rng.randint(0, 999):03d}"
-    if kind == 1:
-        return f"{rng.randint(-9999, 9999)}/{rng.randint(1, 97)}"
-    return str(rng.randint(-9999, 9999))
+@pytest.mark.parametrize("seed", range(16))
+def test_validate_matches_the_fraction_oracle_on_mixed_tables(seed):
+    rng = random.Random(900 + seed)
+    players = tuple(f"p{i}" for i in range(rng.randint(1, 6)))
+    # Some coalitions are worth exactly the sum of their members' values,
+    # so some pairs tie: v(S u T) == v(S) + v(T) is no violation.
+    single = {p: Fraction(mixed_value(rng)) for p in players}
+    text = {
+        s: exact_string(sum(single[p] for p in s)) if rng.random() < 0.4 else mixed_value(rng)
+        for s in random_game_table(rng, players)
+    }
+    table = {s: Fraction(x) for s, x in text.items()}
+    entries = [{"members": sorted(s), "value": x} for s, x in text.items()]
+    game = scenario_game(parse_scenario(json.dumps({"players": players, "coalitions": entries})))
+    violations = validate_game(game).violations
+    got = [(frozenset(v.left.members), frozenset(v.right.members), v.left_value, v.right_value, v.union_value)
+           for v in violations]
+    assert got == superadditivity_violations(players, table)
+    assert all(type(x) is Fraction for v in got for x in v[2:])
 
 
 def term_sum(game: CharacteristicFunction, player: str) -> Fraction:

@@ -2,8 +2,12 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from chainshare.rational import exact_decimal, exact_string, format_fixed, parse_rational
+from chainshare.errors import NumberError
+from chainshare.rational import MAX_DIGITS, exact_decimal, exact_string, format_fixed, parse_pair, parse_rational
+
+from .strategies import number_texts
 
 
 @pytest.mark.parametrize(
@@ -48,6 +52,40 @@ def test_parse_rational_returns_an_exact_fraction_unchanged():
 
     tagged = parse_rational(Tagged(3, 4))
     assert type(tagged) is Fraction and tagged == Fraction(3, 4)
+
+
+def _outcome(read, value):
+    """The Fraction ``read`` gives for ``value``, or the message of the NumberError it raises."""
+    try:
+        result = read(value)
+    except NumberError as exc:
+        return str(exc)
+    return Fraction(*result) if isinstance(result, tuple) else result
+
+
+@settings(max_examples=400, deadline=2000)
+@given(text=number_texts)
+def test_pair_reader_reads_what_fraction_reads(text):
+    try:
+        expected = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        expected = None
+    got = _outcome(parse_pair, text)
+    assert got == _outcome(parse_rational, text)  # the same value, or the same error
+    if isinstance(got, Fraction):
+        assert got == expected
+        numerator, denominator = parse_pair(text)
+        assert type(numerator) is int and type(denominator) is int and denominator > 0
+    elif expected is not None:  # Fraction reads it, but it needs too many digits
+        assert "digits" in got and (len(text) > MAX_DIGITS or "e" in text.lower())
+
+
+@pytest.mark.parametrize(
+    "text,pair",
+    [("1.50", (150, 100)), ("-0.5", (-5, 10)), ("-0", (0, 1)), ("007", (7, 1)), ("6/4", (6, 4)), ("0/5", (0, 5))],
+)
+def test_pair_reader_keeps_plain_strings_unreduced(text, pair):
+    assert parse_pair(text) == pair
 
 
 def test_parse_rational_rejects_bools_and_objects():

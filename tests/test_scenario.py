@@ -1,11 +1,15 @@
 import json
+import random
+from collections.abc import Mapping, MutableMapping
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
 from chainshare.adjust import adjusted_shapley
-from chainshare.errors import IncompleteGameError, ScenarioError
+from chainshare.errors import EnumerationBoundError, IncompleteGameError, NumberError, ScenarioError
+from chainshare.game import ENUMERATION_MAX_PLAYERS
+from chainshare.rational import parse_rational
 from chainshare.scenario import (
     AhpBlock,
     ScenarioFile,
@@ -18,7 +22,8 @@ from chainshare.scenario import (
     serialize_scenario,
 )
 
-from .strategies import scenario_texts
+from .oracles import mixed_value
+from .strategies import scenario_numbers, scenario_texts
 
 MINIMAL = {
     "players": ["A", "B"],
@@ -264,6 +269,59 @@ def test_scenario_game_requires_totality():
     assert err.value.coalition == ("A", "B")
 
 
+def assert_read_only_fractions(values, masks: set[int]) -> None:
+    assert isinstance(values, Mapping) and not isinstance(values, MutableMapping)
+    assert set(values) == masks and len(values) == len(masks)
+    assert all(type(v) is Fraction for v in values.values())
+    with pytest.raises(TypeError):
+        values[min(masks)] = Fraction(0)
+    with pytest.raises(KeyError):
+        values[0]
+    assert all(key not in values for key in (0, -1, max(masks) + 1, "A", None))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_value_tables_round_trip_and_read_as_read_only_fractions(seed):
+    rng = random.Random(seed)
+    players = tuple(f"p{i}" for i in range(rng.randint(1, 6)))
+    masks = list(range(1, 1 << len(players)))
+    rng.shuffle(masks)
+    given = {mask: mixed_value(rng) for mask in masks[:len(masks) - rng.randint(0, 1)]}
+    entries = [
+        {"members": [p for i, p in enumerate(players) if mask >> i & 1][::rng.choice([1, -1])], "value": value}
+        for mask, value in given.items()
+    ]
+    sf = parse_scenario(json.dumps({"players": list(players), "coalitions": entries}))
+    assert parse_scenario(serialize_scenario(sf)) == sf
+    assert dict(sf.coalition_values) == {mask: Fraction(value) for mask, value in given.items()}
+    assert_read_only_fractions(sf.coalition_values, set(given))
+    if len(given) < len(masks):
+        with pytest.raises(IncompleteGameError):
+            scenario_game(sf)
+    else:
+        game = scenario_game(sf)
+        assert game.values is sf.coalition_values  # the game reads the parsed table, not a copy
+        assert_read_only_fractions(game.values, set(given))
+
+
+def test_scenario_past_the_enumeration_bound_still_parses():
+    players = [f"p{i}" for i in range(ENUMERATION_MAX_PLAYERS + 4)]
+    entries = [
+        {"members": [players[-1]], "value": "2.5"},
+        {"members": ["p0", players[-1]], "value": "-7/3"},
+        {"members": ["p3"], "value": 4},
+    ]
+    sf = parse_scenario(json.dumps({"players": players, "coalitions": entries}))
+    top = 1 << (len(players) - 1)
+    assert dict(sf.coalition_values) == {top: Fraction(5, 2), top | 1: Fraction(-7, 3), 8: Fraction(4)}
+    assert parse_scenario(serialize_scenario(sf)) == sf
+    assert_read_only_fractions(sf.coalition_values, {top, top | 1, 8})
+    with pytest.raises(ScenarioError, match="duplicate coalition"):
+        parse_scenario(json.dumps({"players": players, "coalitions": entries + entries[:1]}))
+    with pytest.raises(EnumerationBoundError):
+        scenario_game(sf)
+
+
 def test_resolve_factors_variants():
     assert resolve_factors(parse_scenario(doc())) is None
     sf = parse_scenario(doc(factors={"A": "0.7", "B": "0.3"}))
@@ -311,6 +369,16 @@ def test_player_and_criterion_rules_come_from_the_library():
         assert locus_of(err) == "ahp.criteria"
 
 
+def test_labels_that_utf8_cannot_encode_are_rejected_at_their_locus():
+    with pytest.raises(ScenarioError, match="UTF-8") as err:
+        parse_scenario(doc(players=["A", "\ud800"]))
+    assert locus_of(err) == "players"
+    with pytest.raises(ScenarioError, match="UTF-8") as err:
+        parse_scenario(doc(ahp={**AHP_BLOCK, "criteria": ["k1", "\udfff"]}))
+    assert locus_of(err) == "ahp.criteria"
+    assert parse_scenario(doc(players=["A", "\U0001f600"], coalitions=[{"members": ["A"], "value": "1"}]))
+
+
 def test_hierarchy_matrix_errors_name_their_matrix():
     block = {**AHP_BLOCK, "criteria_matrix": [["1", "2"], ["2", "1"]]}
     with pytest.raises(ScenarioError, match="reciprocal") as err:
@@ -329,3 +397,28 @@ def test_parse_scenario_raises_only_scenario_errors(text):
         parse_scenario(text)
     except ScenarioError:
         pass
+
+
+@settings(max_examples=300, deadline=2000)
+@given(raw=scenario_numbers)
+def test_coalition_values_read_what_fraction_reads_and_fail_at_their_locus(raw):
+    expected = None  # for a bool, or a string Fraction rejects or that needs too many digits
+    if not isinstance(raw, bool):
+        try:
+            parse_rational(str(raw))
+            expected = Fraction(str(raw).strip())
+        except NumberError:
+            pass
+    coalitions = [dict(entry) for entry in MINIMAL["coalitions"]]
+    coalitions[1]["value"] = raw
+    for fields, locus, read in [
+        ({"coalitions": coalitions}, "coalitions[1].value", lambda sf: sf.coalition_values[0b10]),
+        ({"factors": {"A": "1/2", "B": raw}}, "factors.B", lambda sf: sf.factors[1]),
+    ]:
+        try:
+            got = read(parse_scenario(doc(**fields)))
+        except ScenarioError as err:  # a factor may also be refused for being negative
+            assert expected is None or (locus == "factors.B" and expected < 0), raw
+            assert err.locus == locus
+        else:
+            assert type(got) is Fraction and got == expected
