@@ -135,18 +135,14 @@ def consistency_report(lambda_max: float, n: int) -> ConsistencyReport:
     )
 
 
-def dominant_eigen(
-    a: np.ndarray,
-    *,
-    max_iterations: int = POWER_MAX_ITERATIONS,
-) -> tuple[np.ndarray, float]:
+def dominant_eigen(a: np.ndarray) -> tuple[np.ndarray, float]:
     """Principal eigenpair of a positive matrix by power iteration.
 
     Iterates x -> A x / sum(A x) from the uniform vector until the
-    successive-iterate max-norm drops below ``POWER_TOLERANCE`` (1e-12).
-    Returns the sum-1 eigenvector and lambda_max = mean((A w)_i / w_i). The
-    eigenvector is invariant under positive scaling of ``a``; the
-    eigenvalue scales linearly.
+    successive-iterate max-norm drops below ``POWER_TOLERANCE`` (1e-12),
+    at most ``POWER_MAX_ITERATIONS`` times. Returns the sum-1 eigenvector
+    and lambda_max = mean((A w)_i / w_i). The eigenvector is invariant
+    under positive scaling of ``a``; the eigenvalue scales linearly.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -156,7 +152,7 @@ def dominant_eigen(
         raise MatrixValidationError("power iteration requires a strictly positive matrix")
     x = np.full(n, 1.0 / n)
     step = np.inf
-    for _ in range(max_iterations):
+    for _ in range(POWER_MAX_ITERATIONS):
         y = a @ x
         y /= y.sum()
         step = float(np.max(np.abs(y - x)))
@@ -164,7 +160,7 @@ def dominant_eigen(
         if step < POWER_TOLERANCE:
             break
     else:
-        raise IterationLimitError(max_iterations, step)
+        raise IterationLimitError(POWER_MAX_ITERATIONS, step)
     lam = float(np.mean((a @ x) / x))
     return x, lam
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .adjust import MODES, adjusted_shapley
-from .ahp import synthesize_factors
+from .ahp import METHODS, synthesize_factors
 from .errors import ChainshareError
 from .game import shapley_exact, validate_game
 from .report import FORMATS, ReportDocument, render
@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     ahp = commands.add_parser("ahp", help="pairwise-comparison weighting commands")
     ahp_commands = ahp.add_subparsers(dest="ahp_command", required=True, metavar="SUBCOMMAND")
     weights = ahp_commands.add_parser("weights", parents=[common], help="criteria weights and consistency")
-    weights.add_argument("--method", choices=("power", "geometric"), default="power",
+    weights.add_argument("--method", choices=METHODS, default="power",
                          help="weight extraction method (default: power iteration)")
     ahp_commands.add_parser(
         "synthesize", parents=[common],

@@ -87,11 +87,13 @@ class ConsistencyGateError(ChainshareError):
     """A comparison matrix failed the consistency-ratio gate."""
 
     def __init__(self, name: str, ratio: float):
+        from .ahp import CR_THRESHOLD  # ahp raises the errors defined here
+
         self.name = name
         self.ratio = ratio
         super().__init__(
             f"consistency gate failed for {name!r}: CR = {ratio:.4f} "
-            "(threshold 0.1); pass allow_inconsistent=True to override"
+            f"(threshold {CR_THRESHOLD}); pass allow_inconsistent=True to override"
         )
 
 
@@ -109,9 +111,9 @@ class FloatRangeError(ChainshareError):
 class OracleError(ChainshareError):
     """The user-supplied coalition value oracle raised during sampling.
 
-    ``permutation_index`` is a permutation that needs the failing
-    coalition: the first one, within its chunk, holding the step that
-    asked for it.
+    ``permutation_index`` is the first permutation of the sampled stream
+    that needs the failing coalition (as a prefix of one of its steps, or
+    as the grand coalition).
     """
 
     def __init__(self, permutation_index: int, cause: BaseException):

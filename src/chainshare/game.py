@@ -18,7 +18,7 @@ from operator import add, mul
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import EnumerationBoundError, IdentifierError, IncompleteGameError, InputTypeError, NumberError
-from .rational import RationalLike, parse_pair, parse_rational
+from .rational import RationalLike, parse_pair
 
 ENUMERATION_MAX_PLAYERS = 20
 
@@ -61,9 +61,13 @@ class PlayerSet:
             raise IdentifierError(f"unknown player {player!r}") from None
 
     def coalition(self, members: Iterable[str]) -> Coalition:
+        """The coalition of ``members``: every name a known player, none repeated."""
         mask = 0
         for name in members:
-            mask |= 1 << self.index(name)
+            bit = 1 << self.index(name)
+            if mask & bit:
+                raise IdentifierError(f"player {name!r} listed twice")
+            mask |= bit
         return Coalition(self, mask)
 
     @property
@@ -181,6 +185,17 @@ class ValueTable(Mapping[int, Fraction]):
     def __repr__(self) -> str:
         return f"ValueTable({dict(self)!r})"
 
+    def mask_for(self, players: PlayerSet, members) -> int:
+        """The mask under which ``members`` take a value here: a non-empty
+        list of known players, none repeated, naming a coalition that holds
+        no value yet."""
+        if not members:
+            raise IdentifierError("members must be a non-empty list")
+        mask = players.coalition(members).mask
+        if self.denominators[mask]:
+            raise IdentifierError("duplicate coalition {" + ", ".join(sorted(members)) + "}")
+        return mask
+
     def scaled(self) -> tuple[list[int], int]:
         """v(S) * D by mask (0 for the empty coalition), and D, the lcm of
         the denominators, for a table over every mask."""
@@ -228,15 +243,13 @@ class CharacteristicFunction:
         values: Mapping[Iterable[str], RationalLike],
     ) -> CharacteristicFunction:
         """Build a game from coalition member lists, e.g.
-        ``{("A",): "1000", ("A", "B"): "2000", ...}``."""
+        ``{("A",): "1000", ("A", "B"): "2000", ...}``, under the rules a
+        scenario's coalitions follow."""
         player_set = players if isinstance(players, PlayerSet) else PlayerSet(tuple(players))
-        table: dict[int, Fraction] = {}
+        table = ValueTable(player_set.n)
         for members, value in values.items():
-            key = (members,) if isinstance(members, str) else tuple(members)
-            mask = player_set.coalition(key).mask
-            if mask in table:
-                raise IdentifierError(f"coalition {{{', '.join(key)}}} given more than once")
-            table[mask] = parse_rational(value)
+            mask = table.mask_for(player_set, (members,) if isinstance(members, str) else tuple(members))
+            table.numerators[mask], table.denominators[mask] = parse_pair(value)
         return cls(player_set, table)
 
     @property

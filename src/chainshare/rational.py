@@ -138,12 +138,10 @@ def format_fixed(value: Fraction | float, places: int = 4) -> str:
     Rounding happens on the exact rational, so the rendered digits are a
     pure function of the value (display only; engines never consume this).
     """
-    frac = value if isinstance(value, Fraction) else Fraction(float(value))
+    numerator, denominator = (value if isinstance(value, Fraction) else float(value)).as_integer_ratio()
     q = 10**places
-    scaled = frac * q
-    floor = scaled.numerator // scaled.denominator
-    remainder = scaled - floor
-    if remainder > Fraction(1, 2) or (remainder == Fraction(1, 2) and floor % 2):
+    floor, remainder = divmod(numerator * q, denominator)
+    if 2 * remainder > denominator or (2 * remainder == denominator and floor % 2):
         floor += 1
     sign = "-" if floor < 0 else ""
     magnitude = abs(floor)

@@ -14,17 +14,16 @@ row, its mask words, most significant first, big-endian, so byte order
 is numeric mask order. The chunks merge in chunk order on the caller's
 thread: ``np.searchsorted`` finds a chunk's coalitions among the run's
 sorted key arrays, and the oracle is called once per coalition new to
-the run, in the order the chunk's steps first ask for it. Its answers go
-into one list. A step's key is an int64, its prefix's index in that list
-times n plus its player; the chunk's steps are found the same way among
-the run's steps, whose counts they add to in place, and new ones are
-added with the index of their prefix plus player. No step is probed one
-by one in Python. Each distinct step's marginal is then an integer k
-over the lcm d of its two values' denominators, and each player sums
-c*k and c*k*k as integers per denominator d; only those per-(player, d)
-sums become Fractions, added as a balanced tree. The sums are exact, so
-the estimates always sum to v(N) - v(empty), an equality, not a
-tolerance.
+the run, in ascending mask order. Its answers go into one list. A
+step's key is an int64, its prefix's index in that list times n plus
+its player; the chunk's steps are found the same way among the run's
+steps, whose counts they add to in place, and new ones are added with
+the index of their prefix plus player. No step is probed one by one in
+Python. Each distinct step's marginal is then an integer k over the lcm
+d of its two values' denominators, and each player sums c*k and c*k*k
+as integers per denominator d; only those per-(player, d) sums become
+Fractions, added as a balanced tree. The sums are exact, so the
+estimates always sum to v(N) - v(empty), an equality, not a tolerance.
 """
 
 from __future__ import annotations
@@ -93,13 +92,11 @@ def _count_steps(n: int, seed: int, chunk_index: int, count: int):
 
     The chunk's coalitions are every distinct prefix and the grand
     coalition: a step's prefix plus player is the prefix of the next step
-    in its permutation, or the grand coalition after the last one. With
-    the distinct steps sorted by (mask, player), step k asks for its
-    prefix plus player at request 2k, then for its prefix at 2k + 1.
-    Returns the coalition keys, sorted, and each coalition's first
-    request; then for each distinct step, in sorted order, the flat index
-    of its first occurrence, its count, its player, and the positions of
-    its prefix plus player and of its prefix among the coalitions.
+    in its permutation, or the grand coalition after the last one.
+    Returns the coalition keys, sorted, and for each the chunk's first
+    permutation that needs it; then for each distinct step, in (mask,
+    player) order, its count, its player, and the positions of its prefix
+    plus player and of its prefix among the coalitions.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
     perms = rng.permuted(np.tile(np.arange(n, dtype=np.uint64), (count, 1)), axis=1)
@@ -138,6 +135,9 @@ def _count_steps(n: int, seed: int, chunk_index: int, count: int):
         rows[:-1, k] = word[heads]
         rows[-1, k] = (1 << min(_WORD_BITS, n - _WORD_BITS * (len(words) - 1 - k))) - 1
     coalitions = rows.view(f"V{rows.itemsize * len(words)}").ravel()
+    # a prefix is first needed by the first permutation holding it; the grand coalition by every one
+    needed_by = np.zeros(coalitions.size, np.int64)
+    needed_by[:-1] = np.minimum.reduceat(order, heads) // n
     del words, heads, rows
     group = np.cumsum(new_prefix, dtype=np.int64)
     group -= 1
@@ -149,12 +149,7 @@ def _count_steps(n: int, seed: int, chunk_index: int, count: int):
     del order, group
     following[n::n] = coalitions.size - 1  # after a permutation's last step
     joined = following[first + 1]
-    asks = np.empty(2 * starts.size, np.int64)
-    asks[0::2] = joined
-    asks[1::2] = prefix
-    request = np.full(coalitions.size, asks.size)
-    np.minimum.at(request, asks, np.arange(asks.size))
-    return coalitions, request, first, counts, players, joined, prefix
+    return coalitions, needed_by, counts, players, joined, prefix
 
 
 class _SortedKeys:
@@ -219,25 +214,21 @@ def _merge_steps(
     """Merge a chunk's counted steps into the run's step table.
 
     Steps already in the table add their counts in place; new steps are
-    added with theirs. A coalition the run has not seen is asked for by
-    new steps only, so the chunk's unseen coalitions are due to the
-    oracle in the order of their first request: step by step in (mask,
-    player) order, prefix plus player before prefix. Their slots in
+    added with theirs. The chunk's coalitions the run has not seen are
+    due to the oracle in ascending mask order, and their slots in
     ``table.values`` are reserved in that order. Returns their keys, in
     that order, and for each the permutation an oracle failure names: the
-    first one holding the step that asked. The oracle is left to
+    first one of the stream that needs it. The oracle is left to
     :func:`_evaluate`, so the chunk's arrays are freed before it runs.
     """
-    coalitions, request, first, counts, step_players, joined, prefix = counting.result()
+    coalitions, needed_by, counts, step_players, joined, prefix = counting.result()
     found, due = table.coalitions.match(coalitions)
     slots = np.empty(coalitions.size, np.int64)
     for (_, held), where, at in found:
         slots[where] = held[at]
+    slots[due] = np.arange(len(table.values), len(table.values) + due.size)
     if due.size:
-        unseen = due
-        due = due[np.argsort(request[due])]
-        slots[due] = np.arange(len(table.values), len(table.values) + due.size)
-        table.coalitions.add(coalitions[unseen], slots[unseen])
+        table.coalitions.add(coalitions[due], slots[due])
     keys = slots[prefix] * players.n + step_players
     found, new = table.steps.match(keys)
     for (_, held, _), where, at in found:
@@ -245,7 +236,7 @@ def _merge_steps(
     if new.size:
         new = new[np.argsort(keys[new])]
         table.steps.add(keys[new], counts[new], slots[joined[new]])
-    return coalitions[due], first[request[due] // 2] // players.n + chunk_start
+    return coalitions[due], needed_by[due] + chunk_start
 
 
 def _evaluate(
@@ -301,10 +292,13 @@ def sample_shapley(
     (int, Fraction, Decimal, decimal string, or float); a
     :class:`chainshare.game.CharacteristicFunction` works directly. It
     is called on the calling thread only, once per distinct coalition,
-    so it need not be thread-safe. ``workers`` threads draw and count
-    chunks; at most ``workers`` counted chunks are held at once. The
-    report is identical for identical (players, plan) inputs whatever
-    ``workers`` is; chunks merge in index order.
+    so it need not be thread-safe: chunk by chunk, on the coalitions the
+    chunk needs that no earlier chunk did, in ascending mask order. If it
+    raises, :class:`OracleError` names the first permutation of the
+    stream that needs the coalition it was asked for. ``workers`` threads
+    draw and count chunks; at most ``workers`` counted chunks are held at
+    once. The report is identical for identical (players, plan) inputs
+    whatever ``workers`` is; chunks merge in index order.
     """
     if workers < 1:
         raise SamplingPlanError(f"worker count must be >= 1, got {workers}")

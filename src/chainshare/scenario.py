@@ -86,6 +86,9 @@ def _at(locus: str, build, *args):
         raise ScenarioError(str(exc), locus) from None
 
 
+_BEYOND_FLOAT = "number beyond the float range (about 1.8e308); weights are computed in floats"
+
+
 def _number_pair(raw) -> tuple[int, int]:
     if type(raw) is not str:  # ints take the string path too, so the size bound covers them
         if isinstance(raw, bool) or not isinstance(raw, (str, int)):
@@ -97,8 +100,40 @@ def _number_pair(raw) -> tuple[int, int]:
     return parse_pair(raw)
 
 
-def _parse_number(raw, locus: str) -> Fraction:
-    return Fraction(*_at(locus, _number_pair, raw))
+def _fraction(raw) -> Fraction:
+    return Fraction(*_number_pair(raw))
+
+
+def _read_matrix(read, raw, labels: tuple[str, ...], locus: str) -> tuple[tuple, ...]:
+    """The square matrix ``raw`` over ``labels``, each entry through ``read``.
+
+    One handler serves every entry: the locus of a number ``read`` rejects
+    (a NumberError, or a float conversion's OverflowError) is built only then.
+    """
+    n = len(labels)
+    if not isinstance(raw, (list, tuple)) or len(raw) != n:
+        raise ScenarioError(f"must be a {n}x{n} matrix (rows over {', '.join(labels)})", locus)
+    entries = []
+    try:
+        for i, row in enumerate(raw):
+            if not isinstance(row, (list, tuple)) or len(row) != n:
+                raise ScenarioError(f"row must have {n} entries", f"{locus}[{i}]")
+            for j, x in enumerate(row):
+                entries.append(read(x))
+    except (NumberError, OverflowError) as exc:
+        raise ScenarioError(str(exc) if isinstance(exc, NumberError) else _BEYOND_FLOAT, f"{locus}[{i}][{j}]") from None
+    return tuple(tuple(entries[k : k + n]) for k in range(0, n * n, n))
+
+
+def _read_scores(read, values, players: tuple[str, ...], locus: str) -> tuple:
+    """One value per player through ``read``, under one handler as in :func:`_read_matrix`."""
+    numbers = []
+    try:
+        for p, x in zip(players, values):
+            numbers.append(read(x))
+    except (NumberError, OverflowError) as exc:
+        raise ScenarioError(str(exc) if isinstance(exc, NumberError) else _BEYOND_FLOAT, f"{locus}.{p}") from None
+    return tuple(numbers)
 
 
 def _parse_players(doc: dict) -> tuple[str, ...]:
@@ -108,19 +143,6 @@ def _parse_players(doc: dict) -> tuple[str, ...]:
     if not isinstance(players, list):
         raise ScenarioError("must be a non-empty list of identifiers", "players")
     return _at("players", PlayerSet, tuple(players)).players
-
-
-def _reject_members(members: list, bits: dict[str, int], locus: str) -> None:
-    """Raise for the first unknown or repeated name of ``members``."""
-    mask = 0
-    for name in members:
-        try:
-            bit = bits[name]
-        except (KeyError, TypeError):  # an unhashable name is no player either
-            raise ScenarioError(f"unknown player {name!r}", locus) from None
-        if mask & bit:
-            raise ScenarioError(f"player {name!r} listed twice", locus)
-        mask |= bit
 
 
 def _parse_coalitions(doc: dict, players: tuple[str, ...]) -> ValueTable:
@@ -139,34 +161,19 @@ def _parse_coalitions(doc: dict, players: tuple[str, ...]) -> ValueTable:
             if not isinstance(entry, dict) or entry.keys() != keys:
                 raise ScenarioError("each coalition needs exactly the keys 'members' and 'value'", f"coalitions[{i}]")
             members = entry["members"]
-            if not isinstance(members, list) or not members:
+            if not isinstance(members, list):
                 raise ScenarioError("members must be a non-empty list", f"coalitions[{i}].members")
             try:
                 mask = sum(map(bits.__getitem__, members))
-            except (KeyError, TypeError):
+            except (KeyError, TypeError):  # an unknown or unhashable name
                 mask = 0
-            if mask.bit_count() != len(members):  # an unknown name, or a bit added twice
-                _reject_members(members, bits, f"coalitions[{i}].members")
-            if denominators[mask]:
-                raise ScenarioError(
-                    "duplicate coalition {" + ", ".join(sorted(members)) + "}", f"coalitions[{i}].members"
-                )
+            # no members, a bit added twice or one already given: the table's rule words why
+            if not mask or mask.bit_count() != len(members) or denominators[mask]:
+                mask = _at(f"coalitions[{i}].members", table.mask_for, PlayerSet(players), members)
             numerators[mask], denominators[mask] = _number_pair(entry["value"])
     except NumberError as exc:
         raise ScenarioError(str(exc), f"coalitions[{i}].value") from None
     return table
-
-
-def _parse_matrix(raw, labels: tuple[str, ...], locus: str) -> tuple[tuple[Fraction, ...], ...]:
-    n = len(labels)
-    if not isinstance(raw, list) or len(raw) != n:
-        raise ScenarioError(f"must be a {n}x{n} matrix (rows over {', '.join(labels)})", locus)
-    rows = []
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != n:
-            raise ScenarioError(f"row must have {n} entries", f"{locus}[{i}]")
-        rows.append(tuple(_parse_number(x, f"{locus}[{i}][{j}]") for j, x in enumerate(row)))
-    return tuple(rows)
 
 
 def _parse_ahp(doc: dict, players: tuple[str, ...]) -> AhpBlock | None:
@@ -182,7 +189,7 @@ def _parse_ahp(doc: dict, players: tuple[str, ...]) -> AhpBlock | None:
     if not isinstance(criteria, list):
         raise ScenarioError("must be a non-empty list of labels", "ahp.criteria")
     criteria = _at("ahp.criteria", _unique_labels, criteria, "criterion")
-    matrix = _parse_matrix(raw.get("criteria_matrix"), criteria, "ahp.criteria_matrix")
+    matrix = _read_matrix(_fraction, raw.get("criteria_matrix"), criteria, "ahp.criteria_matrix")
     alternatives = raw.get("alternatives")
     if not isinstance(alternatives, dict):
         raise ScenarioError("must map every criterion to a matrix or a score map", "ahp.alternatives")
@@ -198,11 +205,11 @@ def _parse_ahp(doc: dict, players: tuple[str, ...]) -> AhpBlock | None:
         entry = alternatives[label]
         locus = f"ahp.alternatives.{label}"
         if isinstance(entry, list):
-            matrices[label] = _parse_matrix(entry, players, locus)
+            matrices[label] = _read_matrix(_fraction, entry, players, locus)
         elif isinstance(entry, dict):
             if set(entry) != set(players):
                 raise ScenarioError("score map keys must be exactly the players", locus)
-            scores[label] = tuple(_parse_number(entry[p], f"{locus}.{p}") for p in players)
+            scores[label] = _read_scores(_fraction, [entry[p] for p in players], players, locus)
         else:
             raise ScenarioError("must be a matrix (list of rows) or a player->score map", locus)
     return AhpBlock(
@@ -240,7 +247,7 @@ def parse_scenario(text: str) -> ScenarioFile:
             raise ScenarioError("must map every player to a factor", "factors")
         if set(raw_factors) != set(players):
             raise ScenarioError("factor keys must be exactly the players", "factors")
-        factors = tuple(_parse_number(raw_factors[p], f"factors.{p}") for p in players)
+        factors = _read_scores(_fraction, [raw_factors[p] for p in players], players, "factors")
         for p, f in zip(players, factors):
             if f < 0:
                 raise ScenarioError(f"factor for {p!r} is negative", f"factors.{p}")
@@ -323,44 +330,27 @@ def scenario_game(sf: ScenarioFile) -> CharacteristicFunction:
     return CharacteristicFunction(sf.player_set, sf.coalition_values)
 
 
-def _float(value: Fraction, locus: str) -> float:
-    try:
-        return float(value)
-    except OverflowError:
-        raise ScenarioError(
-            "number beyond the float range (about 1.8e308); weights are computed in floats", locus
-        ) from None
-
-
-def _float_rows(rows: tuple[tuple[Fraction, ...], ...], locus: str) -> list[list[float]]:
-    return [[_float(x, f"{locus}[{i}][{j}]") for j, x in enumerate(row)] for i, row in enumerate(rows)]
-
-
 def scenario_hierarchy(sf: ScenarioFile, *, method: str = "power") -> CriteriaHierarchy:
     """Build the criteria hierarchy from a scenario's ahp block."""
     if sf.ahp is None:
         raise ScenarioError("scenario has no 'ahp' section", "ahp")
     block = sf.ahp
     locus = "ahp.criteria_matrix"
-    criteria = _at(locus, ComparisonMatrix, block.criteria, _float_rows(block.criteria_matrix, locus))
+    rows = _read_matrix(float, block.criteria_matrix, block.criteria, locus)
+    criteria = _at(locus, ComparisonMatrix, block.criteria, rows)
     alternatives: dict[str, ComparisonMatrix | WeightVector] = {}
     for label in block.criteria:
         locus = f"ahp.alternatives.{label}"
         if label in block.alternative_matrices:
-            rows = _float_rows(block.alternative_matrices[label], locus)
+            rows = _read_matrix(float, block.alternative_matrices[label], sf.players, locus)
             alternatives[label] = _at(locus, ComparisonMatrix, sf.players, rows)
         else:
-            scores = tuple(_float(x, f"{locus}.{p}") for p, x in zip(sf.players, block.alternative_scores[label]))
+            scores = _read_scores(float, block.alternative_scores[label], sf.players, locus)
             alternatives[label] = _at(locus, WeightVector, sf.players, scores)
     return CriteriaHierarchy.from_matrices(criteria, alternatives, method=method)
 
 
-def resolve_factors(
-    sf: ScenarioFile,
-    *,
-    normalize: bool | None = None,
-    allow_inconsistent: bool = False,
-) -> AdjustmentFactors | None:
+def resolve_factors(sf: ScenarioFile, *, normalize: bool | None = None) -> AdjustmentFactors | None:
     """Adjustment factors a scenario carries, if any.
 
     Direct ``factors`` are validated by :func:`compute_deltas` (the
@@ -372,7 +362,7 @@ def resolve_factors(
         do_normalize = sf.normalize_factors if normalize is None else normalize
         return compute_deltas(sf.factors, sf.player_set, normalize=do_normalize)
     if sf.ahp is not None:
-        return synthesize_factors(scenario_hierarchy(sf), allow_inconsistent=allow_inconsistent)
+        return synthesize_factors(scenario_hierarchy(sf))
     return None
 
 

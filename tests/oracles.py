@@ -134,3 +134,19 @@ def random_factors(rng: random.Random, players: tuple[str, ...]) -> dict[str, Fr
         cuts[0] = Fraction(1)
         total = Fraction(1)
     return {p: c / total for p, c in zip(players, cuts)}
+
+
+def fraction_format_fixed(value: Fraction | float, places: int = 4) -> str:
+    """Fixed-point text with ties rounded to even, by Fraction arithmetic."""
+    frac = value if isinstance(value, Fraction) else Fraction(float(value))
+    q = 10**places
+    scaled = frac * q
+    floor = scaled.numerator // scaled.denominator
+    remainder = scaled - floor
+    if remainder > Fraction(1, 2) or (remainder == Fraction(1, 2) and floor % 2):
+        floor += 1
+    sign = "-" if floor < 0 else ""
+    magnitude = abs(floor)
+    if places == 0:
+        return f"{sign}{magnitude}"
+    return f"{sign}{magnitude // q}.{magnitude % q:0{places}d}"

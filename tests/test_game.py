@@ -5,8 +5,9 @@ from math import comb
 
 import pytest
 
+from chainshare import game as game_module
 from chainshare.adjust import weighted_value_sums
-from chainshare.errors import EnumerationBoundError, IncompleteGameError
+from chainshare.errors import EnumerationBoundError, IdentifierError, IncompleteGameError
 from chainshare.game import (
     CharacteristicFunction,
     Coalition,
@@ -16,7 +17,7 @@ from chainshare.game import (
     shapley_terms,
     validate_game,
 )
-from chainshare.rational import exact_string, format_fixed, parse_rational
+from chainshare.rational import exact_string, format_fixed, parse_pair, parse_rational
 from chainshare.scenario import parse_scenario, scenario_game
 
 from .conftest import CASE_CLASSICAL, CASE_VALUES
@@ -201,12 +202,28 @@ def test_enumeration_bound():
 
 
 def test_from_values_rejects_duplicates_and_unknowns():
-    with pytest.raises(ValueError, match="more than once"):
+    with pytest.raises(ValueError, match="duplicate coalition"):
         CharacteristicFunction.from_values(
             ("A", "B"), {("A",): 1, ("B",): 1, ("A", "B"): 3, ("B", "A"): 3}
         )
     with pytest.raises(ValueError, match="unknown player 'D'"):
         CharacteristicFunction.from_values(("A", "B"), {("A",): 1, ("D",): 1})
+
+
+def test_repeated_member_is_an_identifier_error(case_game):
+    with pytest.raises(IdentifierError, match="^player 'A' listed twice$"):
+        CharacteristicFunction.from_values(("A", "B"), {("A", "A"): "1", ("B",): "1", ("A", "B"): "3"})
+    with pytest.raises(IdentifierError, match="^player 'A' listed twice$"):
+        case_game(["A", "A"])
+
+
+def test_from_values_reads_each_value_once(monkeypatch):
+    reads = []
+    monkeypatch.setattr(game_module, "parse_pair", lambda value: reads.append(value) or parse_pair(value))
+    values = {("A",): "1.50", ("B",): 2, ("A", "B"): Fraction(7, 3)}
+    game = CharacteristicFunction.from_values(("A", "B"), values)
+    assert reads == list(values.values())
+    assert dict(game.values) == {1: Fraction(3, 2), 2: 2, 3: Fraction(7, 3)}
 
 
 def test_value_lookup_forms(case_game):

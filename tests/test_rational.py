@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainshare.errors import NumberError
 from chainshare.rational import MAX_DIGITS, exact_decimal, exact_string, format_fixed, parse_pair, parse_rational
 
+from .oracles import fraction_format_fixed
 from .strategies import number_texts
 
 
@@ -152,3 +154,17 @@ def test_format_fixed_ties_to_even():
 
 def test_format_fixed_accepts_floats():
     assert format_fixed(1.5, places=2) == "1.50"
+
+
+# ratios, exact ties at each place count (a denominator of 2 * 10**k), negatives and floats
+FIXED_VALUES = st.one_of(
+    st.fractions(max_denominator=10**9),
+    st.builds(lambda k, e: Fraction(2 * k + 1, 2 * 10**e), st.integers(-10**6, 10**6), st.integers(0, 7)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(FIXED_VALUES, st.sampled_from([0, 2, 4, 6]))
+def test_format_fixed_matches_the_fraction_reference(value, places):
+    assert format_fixed(value, places) == fraction_format_fixed(value, places)

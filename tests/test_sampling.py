@@ -225,28 +225,26 @@ def test_oracle_runs_once_per_coalition_on_the_calling_thread():
 def _documented_calls(n: int, plan: SamplingPlan) -> tuple[list[int], list[int]]:
     """The oracle's calls in order, and the permutation a failure at each call names.
 
-    Chunk by chunk, the chunk's distinct (mask, player) steps are taken in
-    sorted order; a step new to the run asks for mask | 1 << player, then
-    for mask, and a coalition is evaluated the first time it is asked for.
-    A failure names the first permutation of the chunk that holds the
-    asking step.
+    Chunk by chunk, each coalition the chunk needs (every prefix of its
+    permutations and the grand coalition) that no earlier chunk needed is
+    evaluated, in ascending mask order. A failure names the first
+    permutation of the stream that needs the coalition.
     """
     calls: list[int] = []
     permutations: list[int] = []
-    steps: set[tuple[int, int]] = set()
+    seen: set[int] = set()
     for start, orders in _stream(n, plan):
-        first: dict[tuple[int, int], int] = {}
+        first: dict[int, int] = {}
         for index, order in enumerate(orders, start):
             mask = 0
             for player in order:
-                first.setdefault((mask, player), index)
+                first.setdefault(mask, index)
                 mask |= 1 << player
-        for mask, player in sorted(first.keys() - steps):
-            for coalition in (mask | 1 << player, mask):
-                if coalition not in calls:
-                    calls.append(coalition)
-                    permutations.append(first[mask, player])
-        steps |= first.keys()
+            first.setdefault(mask, index)
+        for mask in sorted(first.keys() - seen):
+            calls.append(mask)
+            permutations.append(first[mask])
+        seen |= first.keys()
     return calls, permutations
 
 
@@ -405,6 +403,18 @@ def test_oracle_failure_carries_permutation_index():
     calls, expected = _documented_calls(2, plan)
     assert err.value.permutation_index == expected[calls.index(0b11)]
     assert "boom" in str(err.value)
+
+
+def test_oracle_failure_names_the_first_permutation_that_needs_the_coalition():
+    # every permutation needs the empty coalition, so the first one names it
+    def broken(coalition):
+        if coalition.mask == 0:
+            raise RuntimeError("boom")
+        return coalition.size
+
+    with pytest.raises(OracleError) as err:
+        sample_shapley(broken, PlayerSet(tuple("abcd")), SamplingPlan(50, seed=5, chunk_size=10))
+    assert err.value.permutation_index == 0
 
 
 def test_oracle_values_parsed_exactly():

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainshare.adjust import adjusted_shapley
-from chainshare.errors import EnumerationBoundError, IncompleteGameError, NumberError, ScenarioError
-from chainshare.game import ENUMERATION_MAX_PLAYERS
+from chainshare.errors import EnumerationBoundError, IdentifierError, IncompleteGameError, NumberError, ScenarioError
+from chainshare.game import ENUMERATION_MAX_PLAYERS, CharacteristicFunction, PlayerSet
 from chainshare.rational import parse_rational
 from chainshare.scenario import (
     AhpBlock,
@@ -175,6 +176,88 @@ def test_repeated_member_detected():
     bad = doc(coalitions=[{"members": ["A", "A"], "value": "1"}])
     with pytest.raises(ScenarioError, match="listed twice"):
         parse_scenario(bad)
+
+
+RULE_PLAYERS = ("A", "B", "C")
+# known and unknown names, and names no player can be: unhashable, or not strings
+MEMBER_NAMES = st.one_of(st.sampled_from(RULE_PLAYERS + ("D", "")), st.sampled_from([["A"], {"A": 1}, 1, None, True]))
+
+
+class _Key(tuple):
+    """A member list that can key a dict whatever names it holds."""
+
+    __hash__ = object.__hash__
+
+
+def _members_of(mask: int) -> tuple[str, ...]:
+    return tuple(p for i, p in enumerate(RULE_PLAYERS) if mask >> i & 1)
+
+
+def _member_rule(members: list) -> int | str:
+    """The member-list rule written out: the mask, or why the first bad name is bad."""
+    mask = 0
+    for name in members:
+        if name not in RULE_PLAYERS:
+            return f"unknown player {name!r}"
+        bit = 1 << RULE_PLAYERS.index(name)
+        if mask & bit:
+            return f"player {name!r} listed twice"
+        mask |= bit
+    return mask
+
+
+def _scenario_verdict(*member_lists: list) -> int | str:
+    coalitions = [{"members": members, "value": "7"} for members in member_lists]
+    try:
+        sf = parse_scenario(json.dumps({"players": list(RULE_PLAYERS), "coalitions": coalitions}))
+    except ScenarioError as exc:
+        assert exc.locus == f"coalitions[{len(member_lists) - 1}].members"
+        return str(exc).removeprefix(exc.locus + ": ")
+    return max(sf.coalition_values)
+
+
+def _from_values_verdict(*member_lists: list, mask: int = 0) -> int | str:
+    """The last list's verdict from from_values, every coalition but ``mask`` given first."""
+    values = {_members_of(m): "1" for m in range(1, 1 << len(RULE_PLAYERS)) if m != mask}
+    values.update({_Key(members): "7" for members in member_lists})
+    try:
+        game = CharacteristicFunction.from_values(RULE_PLAYERS, values)
+    except IdentifierError as exc:
+        return str(exc)
+    return next(m for m, value in game.values.items() if value == 7)
+
+
+def _library_verdict(call, members: list) -> int | str:
+    try:
+        return call(members)
+    except IdentifierError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(MEMBER_NAMES, max_size=5))
+def test_member_lists_have_one_rule(members):
+    expected = _member_rule(members)
+    players = PlayerSet(RULE_PLAYERS)
+    game = CharacteristicFunction.from_values(players, {_members_of(m): m for m in range(1, 8)})  # worth its mask
+    assert _library_verdict(lambda names: players.coalition(names).mask, members) == expected
+    assert _library_verdict(game, members) == expected
+    # the empty coalition is a coalition, but no value table holds one
+    table_verdict = expected or "members must be a non-empty list"
+    assert _scenario_verdict(members) == table_verdict
+    assert _from_values_verdict(members, mask=expected if isinstance(expected, int) else 0) == table_verdict
+
+
+@given(
+    st.lists(st.sampled_from(RULE_PLAYERS), min_size=1, unique=True).flatmap(
+        lambda members: st.tuples(st.just(members), st.permutations(members))
+    )
+)
+def test_a_coalition_given_twice_is_one_error(lists):
+    first, again = lists
+    message = "duplicate coalition {" + ", ".join(sorted(first)) + "}"
+    assert _scenario_verdict(first, again) == message
+    assert _from_values_verdict(first, again, mask=_member_rule(first)) == message
 
 
 def test_malformed_value():
