@@ -78,7 +78,7 @@ class ComparisonMatrix:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Positive weights over labelled items, summing to 1 within 1e-9."""
+    """Finite positive weights over labelled items, summing to 1 within 1e-9."""
 
     labels: tuple[str, ...]
     w: tuple[float, ...]
@@ -90,8 +90,8 @@ class WeightVector:
         object.__setattr__(self, "w", w)
         if len(w) != len(labels):
             raise AlignmentError(f"{len(labels)} labels but {len(w)} weights")
-        if any(x <= 0 for x in w):
-            raise NumberError("weights must be strictly positive")
+        if not all(0 < x < np.inf for x in w):  # NaN fails every comparison, this one too
+            raise NumberError("weights must be finite and strictly positive")
         if abs(sum(w) - 1.0) > WEIGHT_SUM_TOLERANCE:
             raise NumberError(f"weights sum to {sum(w):.12f}, expected 1")
 

@@ -12,7 +12,7 @@ import functools
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import __version__, report
 from .adjust import MODES, adjusted_shapley
 from .ahp import METHODS, synthesize_factors
 from .errors import ChainshareError
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _shapley(sf, args) -> ReportDocument:
-    return ReportDocument("shapley", sf.players, classical=shapley_exact(scenario_game(sf)))
+    return ReportDocument("shapley", sf.players, (report.classical(sf.players, shapley_exact(scenario_game(sf))),))
 
 
 def _allocate(sf, args) -> ReportDocument:
@@ -86,31 +86,34 @@ def _allocate(sf, args) -> ReportDocument:
     if factors is None:
         raise ChainshareError("scenario carries no adjustment factors; add a 'factors' map or an 'ahp' section")
     adjusted = adjusted_shapley(game, factors, args.mode or sf.mode or "eq3")
-    return ReportDocument("allocate", sf.players, classical=adjusted.base, adjusted=adjusted, factors=factors)
+    return ReportDocument("allocate", sf.players, (
+        report.classical(sf.players, adjusted.base), report.adjusted(sf.players, adjusted)), csv=1)
 
 
 def _ahp_weights(sf, args) -> ReportDocument:
-    return ReportDocument("ahp-weights", sf.players, hierarchy=scenario_hierarchy(sf, method=args.method))
+    return ReportDocument("ahp-weights", sf.players, (report.weights(scenario_hierarchy(sf, method=args.method)),))
 
 
 def _ahp_synthesize(sf, args) -> ReportDocument:
     hierarchy = scenario_hierarchy(sf)
-    return ReportDocument("ahp-synthesize", sf.players, factors=synthesize_factors(hierarchy), hierarchy=hierarchy)
+    return ReportDocument("ahp-synthesize", sf.players, (
+        report.factors(sf.players, synthesize_factors(hierarchy)), report.weights(hierarchy)))
 
 
 def _sample(sf, args) -> ReportDocument:
     game = scenario_game(sf)
     plan = SamplingPlan(permutations=args.permutations, seed=args.seed, chunk_size=args.chunk_size)
     estimates = sample_shapley(game, game.player_set, plan, workers=args.workers)
-    return ReportDocument("sample", sf.players, estimates=estimates)
+    return ReportDocument("sample", sf.players, (report.sampled(sf.players, estimates),))
 
 
 def _validate(sf, args) -> ReportDocument:
-    return ReportDocument("validate", sf.players, validation=validate_game(scenario_game(sf)))
+    validation = validate_game(scenario_game(sf))
+    return ReportDocument("validate", sf.players, (report.violations(validation),), ok=validation.ok)
 
 
-# Report kind -> the function that builds its report. Each calls the library through this
-# module's names at call time, so a name substituted here (as chainbench/spans.py does) is used.
+# Command -> the function that runs it and lists its report's sections. Each calls the library through
+# this module's names at call time, so a name substituted here (as chainbench/spans.py does) is used.
 COMMANDS = {
     "shapley": _shapley,
     "allocate": _allocate,
@@ -147,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ChainshareError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 1 if args.command == "validate" and args.strict and not doc.validation.ok else 0
+    return 1 if args.command == "validate" and args.strict and not doc.ok else 0
 
 
 def entrypoint() -> None:

@@ -42,7 +42,7 @@ class NumberError(ChainshareError, ValueError):
 
 
 class ChoiceError(ChainshareError, ValueError):
-    """A named option (mode, method, format, report kind, bundled scenario) is none of its choices."""
+    """A named option (mode, method, format, bundled scenario) is none of its choices."""
 
 
 class InputTypeError(ChainshareError, TypeError):
@@ -93,7 +93,7 @@ class ConsistencyGateError(ChainshareError):
         self.ratio = ratio
         super().__init__(
             f"consistency gate failed for {name!r}: CR = {ratio:.4f} "
-            f"(threshold {CR_THRESHOLD}); pass allow_inconsistent=True to override"
+            f"(threshold {CR_THRESHOLD})"
         )
 
 

@@ -22,6 +22,11 @@ from .rational import RationalLike, parse_pair
 
 ENUMERATION_MAX_PLAYERS = 20
 
+# Bits (256 MiB) that the 2**n values of a table scaled to one common
+# denominator may need in all, at the denominator's width each: a larger
+# table takes seconds to build, and gigabytes from n = 14 on.
+MAX_SCALED_BITS = 1 << 31
+
 
 def _unique_labels(labels: Iterable[str], what: str) -> tuple[str, ...]:
     """``labels`` as a tuple: at least one, each a non-empty string that UTF-8
@@ -198,9 +203,20 @@ class ValueTable(Mapping[int, Fraction]):
 
     def scaled(self) -> tuple[list[int], int]:
         """v(S) * D by mask (0 for the empty coalition), and D, the lcm of
-        the denominators, for a table over every mask."""
+        the denominators, for a table over every mask.
+
+        Raises NumberError as soon as 2**n times the bits of D passes
+        ``MAX_SCALED_BITS``.
+        """
         denominators = set(self.denominators)
-        scale = math.lcm(*denominators)
+        scale = 1
+        for denominator in denominators:
+            scale = math.lcm(scale, denominator)
+            if scale.bit_length() << self.n > MAX_SCALED_BITS:
+                raise NumberError(
+                    f"the coalition values' common denominator passes {MAX_SCALED_BITS >> self.n} bits, "
+                    f"too wide to scale {1 << self.n} values to (at most {MAX_SCALED_BITS} bits in all)"
+                )
         factor = {d: scale // d for d in denominators}
         return list(map(mul, self.numerators, map(factor.__getitem__, self.denominators))), scale
 

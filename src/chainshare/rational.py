@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -98,7 +99,9 @@ def exact_decimal(value: Fraction) -> str | None:
 
     A fraction has a finite decimal expansion iff its reduced denominator
     is of the form 2**a * 5**b. A non-integer expansion with more than
-    ``MAX_DIGITS`` digits counts as none.
+    ``MAX_DIGITS`` digits counts as none. An integer with more digits than
+    Python prints (``sys.get_int_max_str_digits()``) raises NumberError,
+    here and in :func:`exact_string`.
     """
     den = value.denominator
     twos = 0
@@ -112,13 +115,15 @@ def exact_decimal(value: Fraction) -> str | None:
     if den != 1:
         return None
     places = max(twos, fives)
-    scaled = value.numerator * 10**places // value.denominator
     if places == 0:
-        return str(scaled)
+        return _digits(value.numerator)
+    if places >= MAX_DIGITS:
+        return None
+    scaled = value.numerator * 10**places // value.denominator
+    if abs(scaled) >= _power_of_ten(MAX_DIGITS):
+        return None
     sign = "-" if scaled < 0 else ""
     digits = str(abs(scaled)).rjust(places + 1, "0")
-    if len(digits) > MAX_DIGITS:
-        return None
     whole, frac = digits[:-places], digits[-places:]
     frac = frac.rstrip("0")
     return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
@@ -129,7 +134,17 @@ def exact_string(value: Fraction) -> str:
     dec = exact_decimal(value)
     if dec is not None:
         return dec
-    return f"{value.numerator}/{value.denominator}"
+    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
+
+
+def _digits(number: int) -> str:
+    """``str(number)``, or NumberError past Python's limit on the digits an int may print."""
+    try:
+        return str(number)
+    except ValueError:
+        raise NumberError(
+            f"an exact value has more than {sys.get_int_max_str_digits()} digits, too many to print"
+        ) from None
 
 
 def format_fixed(value: Fraction | float, places: int = 4) -> str:

@@ -21,6 +21,7 @@ from chainshare.errors import (
     ConsistencyGateError,
     IterationLimitError,
     MatrixValidationError,
+    NumberError,
 )
 
 PUBLISHED_WEIGHT_COLUMN = (0.4182, 0.2401, 0.1218, 0.1030, 0.0442, 0.0351, 0.0377)
@@ -191,6 +192,9 @@ def test_weight_vector_validation():
         WeightVector(labels(2), (0.5, 0.6))
     with pytest.raises(ValueError, match="positive"):
         WeightVector(labels(2), (1.0, 0.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(NumberError, match="finite"):
+            WeightVector(labels(2), (bad, 1.0))
     with pytest.raises(ValueError, match="labels"):
         WeightVector(labels(3), (0.5, 0.5))
     wv = WeightVector(labels(2), (0.25, 0.75))

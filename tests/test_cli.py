@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from chainshare import cli
 from chainshare.cli import build_parser, main
-from chainshare.report import FORMATS, SECTIONS
+from chainshare.report import FORMATS
 from chainshare.sampling import MAX_CHUNK_SIZE
 from chainshare.scenario import bundled_scenario
 
@@ -175,6 +176,7 @@ def test_ahp_synthesize_gate_failure(tmp_path, capsys):
     assert out == ""
     assert "consistency gate failed" in err
     assert err.count("CR = ") == 1  # stated once, not repeated in a suffix
+    assert "allow_inconsistent" not in err  # a library keyword no flag sets
 
 
 def test_sample_deterministic(capsys):
@@ -298,9 +300,9 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
-def write_scenario(tmp_path, players, **extra) -> str:
+def write_scenario(tmp_path, players, value=lambda mask: str(10 * mask), **extra) -> str:
     coalitions = [
-        {"members": [p for i, p in enumerate(players) if mask >> i & 1], "value": str(10 * mask)}
+        {"members": [p for i, p in enumerate(players) if mask >> i & 1], "value": value(mask)}
         for mask in range(1, 1 << len(players))
     ]
     path = tmp_path / "case.scenario"
@@ -313,6 +315,26 @@ def assert_one_error_line(code, out, err, *fragments):
     assert err.startswith("error:") and err.count("\n") == 1
     for fragment in fragments:
         assert fragment in err
+
+
+def test_an_exact_value_too_long_to_print_exits_one(tmp_path, capsys):
+    # 511 distinct 20-digit denominators: the exact payoffs need thousands of digits
+    path = write_scenario(tmp_path, [f"P{i}" for i in range(9)], value=lambda mask: f"{mask}/{10**19 + 2 * mask + 1}")
+    code, out, _ = run(capsys, "shapley", path)  # the table rounds them
+    assert code == 0 and "total" in out
+    code, out, err = run(capsys, "shapley", path, "--format", "structured")
+    assert_one_error_line(code, out, err, "digits, too many to print")
+
+
+def test_a_value_table_too_wide_to_scale_exits_one_quickly(tmp_path, capsys):
+    players = [f"P{i}" for i in range(14)]
+    path = write_scenario(tmp_path, players, value=lambda mask: f"1/{10**19 + 2 * mask + 1}",
+                          factors={p: "1/14" for p in players})
+    for command in ("shapley", "allocate", "validate"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, path)
+        assert_one_error_line(code, out, err, "common denominator passes 131072 bits")
+        assert time.perf_counter() - start < 1
 
 
 def test_all_zero_factors_with_normalize_exits_one(tmp_path, capsys):
@@ -470,10 +492,6 @@ def test_repeated_in_process_runs_match_a_fresh_parser(capsys, monkeypatch):
 def test_chunk_size_above_the_bound_exits_one(capsys):
     code, out, err = run(capsys, "sample", CASE_PATH, "--chunk-size", str(MAX_CHUNK_SIZE + 1))
     assert_one_error_line(code, out, err, "chunk size", str(MAX_CHUNK_SIZE))
-
-
-def test_every_report_kind_has_a_command():
-    assert set(cli.COMMANDS) == set(SECTIONS)
 
 
 COMMAND_LINES = st.sampled_from([

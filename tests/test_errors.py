@@ -60,7 +60,6 @@ FACTORS = compute_deltas(["0.5", "0.5"], GAME.player_set)
     (errors.ChoiceError, lambda: adjusted_shapley(GAME, FACTORS, "both")),
     (errors.ChoiceError, lambda: principal_weights(ComparisonMatrix(("a",), [[1]]), method="inverse")),
     (errors.ChoiceError, lambda: render(ReportDocument("shapley", ("A",)), "xml")),
-    (errors.ChoiceError, lambda: ReportDocument("frobnicate", ("A",))),
     (errors.ChoiceError, lambda: bundled_scenario("nonexistent")),
     (errors.AlignmentError, lambda: compute_deltas(["1"], 2)),
     (errors.AlignmentError, lambda: WeightVector(("a", "b"), (1.0,))),

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -7,11 +8,12 @@ import pytest
 
 from chainshare import game as game_module
 from chainshare.adjust import weighted_value_sums
-from chainshare.errors import EnumerationBoundError, IdentifierError, IncompleteGameError
+from chainshare.errors import EnumerationBoundError, IdentifierError, IncompleteGameError, NumberError
 from chainshare.game import (
     CharacteristicFunction,
     Coalition,
     PlayerSet,
+    ValueTable,
     coalition_weight,
     shapley_exact,
     shapley_terms,
@@ -361,3 +363,26 @@ def test_kernel_exact_with_distinct_prime_denominators():
     assert allocation.as_dict() == {p: term_sum(game, p) for p in players}
     assert allocation.total == table[frozenset(players)]
     assert dict(zip(players, weighted_value_sums(game))) == per_player_lever(players, table)
+
+
+def test_a_table_too_wide_to_scale_is_refused_quickly():
+    # 16,383 distinct 20-digit denominators: up to about a million bits in D
+    players = tuple(f"p{i}" for i in range(14))
+    game = CharacteristicFunction.from_values(players, {
+        tuple(p for i, p in enumerate(players) if mask >> i & 1): f"1/{10**19 + 2 * mask + 1}"
+        for mask in range(1, 1 << len(players))
+    })
+    for kernel in (shapley_exact, weighted_value_sums, validate_game):
+        start = time.perf_counter()
+        with pytest.raises(NumberError, match="common denominator passes 131072 bits"):
+            kernel(game)
+        assert time.perf_counter() - start < 1
+
+
+def test_a_20_player_table_of_two_place_decimals_passes_the_scale_bound():
+    table = ValueTable(20)
+    table.numerators = list(range(1 << 20))
+    table.denominators = [1] + [10 ** (mask % 3) for mask in range(1, 1 << 20)]  # "7", "1.5", "12.34"
+    scaled, scale = table.scaled()
+    assert scale == 100
+    assert scaled[:4] == [0, 10, 2, 300] and scaled[-1] == ((1 << 20) - 1) * 100

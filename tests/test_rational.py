@@ -119,6 +119,16 @@ def test_exact_decimal_undefined_beyond_the_size_bound():
     assert len(exact_decimal(Fraction(1, 2**999)).replace(".", "")) == 1000
     assert exact_decimal(Fraction(1, 2**1000)) is None
     assert exact_string(Fraction(1, 2**1000)) == f"1/{2**1000}"
+    # whose expansion's digits alone pass the interpreter's limit on printing an int
+    assert exact_string(Fraction(1, 2**10_000)) == f"1/{2**10_000}"
+
+
+def test_a_value_with_too_many_digits_to_print_is_a_number_error():
+    # past the interpreter's 4,300-digit default limit on printing an int
+    with pytest.raises(NumberError, match="too many to print"):
+        exact_string(Fraction(1, 3**10_000))
+    with pytest.raises(NumberError, match="too many to print"):
+        exact_decimal(Fraction(10**5_000))
 
 
 def test_exact_decimal_undefined_for_repeating():
