@@ -61,11 +61,16 @@ print("generator:", solo.rng)
 # the coalitions it visits.
 
 players = PlayerSet(tuple(f"firm{i:02d}" for i in range(60)))
-synergy = [Fraction(i + 1, 2) for i in range(60)]
+# firm i stands alone at (i + 1) / 2; the sum runs over the mask's bits in integers
+halves = [i + 1 for i in range(60)]
 
 def oracle(coalition):
-    base = sum((synergy[players.index(p)] for p in coalition.members), Fraction(0))
-    return base + Fraction(coalition.size * (coalition.size - 1), 7)
+    mask, base = coalition.mask, 0
+    while mask:
+        low = mask & -mask
+        base += halves[low.bit_length() - 1]
+        mask ^= low
+    return Fraction(base, 2) + Fraction(coalition.size * (coalition.size - 1), 7)
 
 report = sample_shapley(oracle, players, SamplingPlan(2_000, seed=9, chunk_size=500))
 print("firm00 estimate:", float(report.estimates[0]))

@@ -206,17 +206,35 @@ class ValueTable(Mapping[int, Fraction]):
         the denominators, for a table over every mask.
 
         Raises NumberError as soon as 2**n times the bits of D passes
-        ``MAX_SCALED_BITS``.
+        ``MAX_SCALED_BITS``. The denominators join as a balanced tree of
+        pairwise lcms, built left to right like a binary counter: ``joined``
+        holds (lcm, leaf count) subtrees of falling sizes, and every lcm
+        made is checked. Each divides D, so the verdict is D's; a refusal
+        comes at the first subtree past the bound, with no lcm of a wide
+        running value per denominator, which a one-by-one fold would take.
         """
-        denominators = set(self.denominators)
-        scale = 1
-        for denominator in denominators:
-            scale = math.lcm(scale, denominator)
-            if scale.bit_length() << self.n > MAX_SCALED_BITS:
+        limit = MAX_SCALED_BITS >> self.n
+
+        def checked(value: int) -> int:
+            if value.bit_length() > limit:
                 raise NumberError(
-                    f"the coalition values' common denominator passes {MAX_SCALED_BITS >> self.n} bits, "
+                    f"the coalition values' common denominator passes {limit} bits, "
                     f"too wide to scale {1 << self.n} values to (at most {MAX_SCALED_BITS} bits in all)"
                 )
+            return value
+
+        denominators = set(self.denominators)
+        joined: list[tuple[int, int]] = []
+        for scale in denominators:
+            leaves = 1
+            checked(scale)
+            while joined and joined[-1][1] == leaves:
+                scale = checked(math.lcm(joined.pop()[0], scale))
+                leaves *= 2
+            joined.append((scale, leaves))
+        scale = 1
+        for subtree, _ in reversed(joined):
+            scale = checked(math.lcm(scale, subtree))
         factor = {d: scale // d for d in denominators}
         return list(map(mul, self.numerators, map(factor.__getitem__, self.denominators))), scale
 

@@ -49,8 +49,8 @@ class ReportDocument:
     """Everything one command run produced, ready to render.
 
     ``kind`` labels the structured form, ``sections`` are in table order,
-    CSV prints ``sections[csv]``, and ``ok`` is False when the report
-    found a fault.
+    CSV prints ``sections[csv]`` (nothing when there are no sections), and
+    ``ok`` is False when the report found a fault.
     """
 
     kind: str
@@ -190,6 +190,8 @@ def render_table(doc: ReportDocument) -> str:
 
 
 def render_csv(doc: ReportDocument) -> str:
+    if not doc.sections:
+        return ""
     section = doc.sections[doc.csv]
     header = section.csv_header or section.header
     rows = [header, *(row[: len(header)] for row in section.rows())]

@@ -6,24 +6,28 @@ chunks; chunk c draws its permutations from an RNG stream derived from
 (seed, c), so the output is a pure function of (oracle, players, plan)
 regardless of how many workers execute the chunks.
 
-One pass serves every game width. Worker threads draw the chunks, count
-each one's distinct (prefix, player) steps, with prefix masks held as
-ceil(n/64) uint64 words, and list the chunk's coalitions: every distinct
-prefix and the grand coalition. A coalition's key is one fixed-width byte
-row, its mask words, most significant first, big-endian, so byte order
-is numeric mask order. The chunks merge in chunk order on the caller's
-thread: ``np.searchsorted`` finds a chunk's coalitions among the run's
-sorted key arrays, and the oracle is called once per coalition new to
-the run, in ascending mask order. Its answers go into one list. A
-step's key is an int64, its prefix's index in that list times n plus
-its player; the chunk's steps are found the same way among the run's
-steps, whose counts they add to in place, and new ones are added with
-the index of their prefix plus player. No step is probed one by one in
-Python. Each distinct step's marginal is then an integer k over the lcm
-d of its two values' denominators, and each player sums c*k and c*k*k
-as integers per denominator d; only those per-(player, d) sums become
-Fractions, added as a balanced tree. The sums are exact, so the
-estimates always sum to v(N) - v(empty), an equality, not a tolerance.
+One pass serves every game width. Worker threads draw the chunks and
+count each one's distinct (prefix, player) steps with two stable sorts:
+the first ranks the distinct prefixes, whose masks are held as ceil(n/64)
+words, and the second sorts one key per step, prefix rank times n plus
+player. Each sort key is held in the narrowest unsigned dtype that fits
+it, so for keys of 16 bits or less numpy's stable sort is a radix sort.
+A chunk's coalitions are every distinct prefix and the grand coalition.
+A coalition's key is one fixed-width byte row, its mask words, most
+significant first, big-endian, so byte order is numeric mask order. The
+chunks merge in chunk order on the caller's thread: ``np.searchsorted``
+finds a chunk's coalitions among the run's sorted key arrays, and the
+oracle is called once per coalition new to the run, in ascending mask
+order. Its answers go into one list. A run's step key is an int64, its
+prefix's index in that list times n plus its player; the chunk's steps
+are found the same way among the run's steps, whose counts they add to
+in place, and new ones are added with the index of their prefix plus
+player. No step is probed one by one in Python. Each distinct step's
+marginal is then an integer k over the lcm d of its two values'
+denominators, and each player sums c*k and c*k*k as integers per
+denominator d; only those per-(player, d) sums become Fractions, added
+as a balanced tree. The sums are exact, so the estimates always sum to
+v(N) - v(empty), an equality, not a tolerance.
 """
 
 from __future__ import annotations
@@ -45,8 +49,9 @@ _WORD_BITS = 64
 
 DEFAULT_CHUNK_SIZE = 4096
 
-# Counting a chunk peaks at about 14 arrays of chunk size x n 8-byte words per
-# counting thread (about 430 MiB at this bound and 64 players), so plans are bounded.
+# Counting a chunk peaks at about 5.4 arrays of chunk size x n 8-byte words per
+# counting thread at 64 players and 7.6 at 130 (about 170 MiB at this bound and
+# 64 players), so plans are bounded.
 MAX_CHUNK_SIZE = 65_536
 
 
@@ -86,9 +91,16 @@ class EstimateReport:
 def _count_steps(n: int, seed: int, chunk_index: int, count: int):
     """Draw chunk ``chunk_index`` and count its distinct (prefix, player) steps.
 
-    Prefix masks are held as ceil(n/64) little-endian uint64 words.
-    Players within one word contribute distinct power-of-two bits, so a
-    cumulative sum along the row is the cumulative OR of prefixes.
+    Prefix masks are held as ceil(n/64) little-endian words, each in the
+    narrowest unsigned dtype that holds its bits. Players within one word
+    contribute distinct power-of-two bits, so a cumulative sum along the
+    row is the cumulative OR of prefixes.
+
+    Two stable sorts count the steps. The first sorts the rows by their
+    prefix words alone and ranks the distinct prefixes in mask order; the
+    second sorts one key per row, prefix rank times n plus player, held in
+    the narrowest unsigned dtype that fits. For keys of 16 bits or less
+    numpy's stable sort is a radix sort.
 
     The chunk's coalitions are every distinct prefix and the grand
     coalition: a step's prefix plus player is the prefix of the next step
@@ -96,59 +108,81 @@ def _count_steps(n: int, seed: int, chunk_index: int, count: int):
     Returns the coalition keys, sorted, and for each the chunk's first
     permutation that needs it; then for each distinct step, in (mask,
     player) order, its count, its player, and the positions of its prefix
-    plus player and of its prefix among the coalitions.
+    plus player and of its prefix among the coalitions. The last three
+    are in the narrow dtypes they were counted in.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
-    perms = rng.permuted(np.tile(np.arange(n, dtype=np.uint64), (count, 1)), axis=1)
-    width = np.uint64(_WORD_BITS)
+    # numpy shuffles 8-byte items fastest; the order drawn does not depend on the dtype
+    perms = np.tile(np.arange(n, dtype=np.intp), (count, 1))
+    rng.permuted(perms, axis=1, out=perms)
+    players = perms.astype(np.min_scalar_type(n - 1)).ravel()
+    del perms
+    size = players.size
     words = []
-    for word in range(-(-n // _WORD_BITS)):
-        bits = np.where(perms // width == word, np.uint64(1) << perms % width, np.uint64(0))
-        before = np.cumsum(bits, axis=1, dtype=np.uint64)
+    for low in range(0, n, _WORD_BITS):
+        width = min(_WORD_BITS, n - low)
+        dtype = np.min_scalar_type((1 << width) - 1)
+        bit = np.zeros(n, dtype)
+        bit[low : low + width] = dtype.type(1) << np.arange(width, dtype=dtype)
+        bits = bit[players].reshape(count, n)
+        before = np.cumsum(bits, axis=1, dtype=dtype)
         before -= bits
         words.append(before.ravel())
-    players = perms.ravel()
-    del perms, bits, before
+        del bits, before
     # lexsort's last key is the primary one: the most significant word.
-    order = np.lexsort((players, *words))
-    players = players[order]
-    words = [word[order] for word in reversed(words)]
-    new_prefix = np.zeros(order.size, dtype=bool)
+    order = np.lexsort(words)
+    new_prefix = np.zeros(size, dtype=bool)
     new_prefix[0] = True
     for word in words:
+        word = word[order]
         new_prefix[1:] |= word[1:] != word[:-1]
-    new = new_prefix.copy()
-    new[1:] |= players[1:] != players[:-1]
-    starts = np.flatnonzero(new)
-    counts = np.empty_like(starts)
-    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
-    counts[-1] = order.size - starts[-1]
-    first = order[starts]
-    players = players[starts].astype(np.int64)
-    del new
+    del word
+    # the sort is stable, so a prefix's first row in it is its first row in the chunk
+    heads = order[new_prefix]
+    prefixes = heads.size
+    # rank[f] is the position of flat row f's prefix among the coalitions
+    rank = np.empty(size + 1, np.min_scalar_type(prefixes))
+    group = np.cumsum(new_prefix, dtype=rank.dtype)
+    del new_prefix
+    group -= 1
+    rank[order] = group
+    del order, group
     # Coalition c is the c-th distinct prefix, and the last one the grand
     # coalition. Its key is its mask words, most significant first, written
     # into big-endian rows, so the keys' byte order is the masks' numeric order.
-    heads = np.flatnonzero(new_prefix)
-    rows = np.empty((heads.size + 1, len(words)), ">u8")
-    for k, word in enumerate(words):
+    rows = np.empty((prefixes + 1, len(words)), ">u8")
+    for k, word in enumerate(reversed(words)):
         rows[:-1, k] = word[heads]
         rows[-1, k] = (1 << min(_WORD_BITS, n - _WORD_BITS * (len(words) - 1 - k))) - 1
     coalitions = rows.view(f"V{rows.itemsize * len(words)}").ravel()
-    # a prefix is first needed by the first permutation holding it; the grand coalition by every one
-    needed_by = np.zeros(coalitions.size, np.int64)
-    needed_by[:-1] = np.minimum.reduceat(order, heads) // n
-    del words, heads, rows
-    group = np.cumsum(new_prefix, dtype=np.int64)
-    group -= 1
-    prefix = group[starts]
-    del new_prefix
+    del words, word
+    # a prefix is first needed by its first row's permutation; the grand coalition by every one
+    heads //= n
+    needed_by = np.append(heads, 0)
+    del rows, heads
+    key = rank[:-1].astype(np.min_scalar_type(prefixes * n - 1))
+    key *= n
+    key += players
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.empty(size, dtype=bool)
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    del key
+    starts = np.flatnonzero(new)
+    del new
+    first = order[starts]
+    del order
+    counts = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1] = size - starts[-1]
+    del starts
+    prefix = rank[first]
+    players = players[first]
     # the prefix after flat row f is f's prefix plus player
-    following = np.empty(order.size + 1, np.int64)
-    following[order] = group
-    del order, group
-    following[n::n] = coalitions.size - 1  # after a permutation's last step
-    joined = following[first + 1]
+    rank[n::n] = prefixes  # after a permutation's last step
+    first += 1
+    joined = rank[first]
     return coalitions, needed_by, counts, players, joined, prefix
 
 

@@ -7,11 +7,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# demos/04_sampling.py is left out: its convergence sweep takes about 15 s.
 DEMOS = [
     "01_exact_allocation.py",
     "02_adjusted_allocation.py",
     "03_criteria_weights.py",
+    "04_sampling.py",
     "05_scenarios_and_cli.py",
 ]
 

@@ -2,7 +2,7 @@ import json
 import random
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, prod
 
 import pytest
 
@@ -386,3 +386,38 @@ def test_a_20_player_table_of_two_place_decimals_passes_the_scale_bound():
     scaled, scale = table.scaled()
     assert scale == 100
     assert scaled[:4] == [0, 10, 2, 300] and scaled[-1] == ((1 << 20) - 1) * 100
+
+
+def _folded_scale(table: ValueTable) -> int | None:
+    """D by the one-by-one lcm fold, or None where it passes the scale bound."""
+    scale = 1
+    for denominator in set(table.denominators):
+        scale = lcm(scale, denominator)
+        if scale.bit_length() << table.n > game_module.MAX_SCALED_BITS:
+            return None
+    return scale
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_pairwise_scale_matches_the_one_by_one_fold(seed, monkeypatch):
+    rng = random.Random(seed)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        table = ValueTable(n)
+        table.numerators = [rng.randint(-99, 99) for _ in range(1 << n)]
+        table.denominators = [1] + [
+            prod(rng.choice((2, 3, 5, 7, 11, 13, 4099)) ** rng.randint(0, 3) for _ in range(3))
+            for _ in range((1 << n) - 1)
+        ]
+        bits = lcm(*table.denominators).bit_length()
+        # a bound one bit short of D, at D and past it, and one drawn at random
+        for limit in (bits - 1, bits, bits + 1, rng.randint(1, bits + 2)):
+            monkeypatch.setattr(game_module, "MAX_SCALED_BITS", limit << n)
+            expected = _folded_scale(table)
+            if expected is None:
+                with pytest.raises(NumberError, match=f"passes {limit} bits"):
+                    table.scaled()
+            else:
+                scaled, scale = table.scaled()
+                assert scale == expected
+                assert scaled == [v * (scale // d) for v, d in zip(table.numerators, table.denominators)]

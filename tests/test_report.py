@@ -66,6 +66,13 @@ def test_a_document_renders_alike_every_time(game, validation, format):
     assert render(doc, format) == first
 
 
+def test_a_document_without_sections_renders_in_every_format():
+    doc = ReportDocument("shapley", ("A",))
+    assert render(doc, "table") == "Players: A\n"
+    assert render(doc, "csv") == ""
+    assert json.loads(render(doc, "structured")) == {"kind": "shapley", "players": ["A"]}
+
+
 # The game fixture above, plus factors that leave every adjusted payoff
 # below its standalone value; the third name needs quoting in CSV.
 VIOLATED_SCENARIO = json.dumps({

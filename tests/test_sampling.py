@@ -1,6 +1,7 @@
 import math
 import random
 import threading
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -141,7 +142,10 @@ def _assert_matches_reference(n: int, plan: SamplingPlan, value, workers=(1, 2))
 
 @pytest.mark.parametrize(
     "n, permutations, chunk_size",
-    [(3, 500, 64), (57, 60, 16), (58, 60, 16), (64, 45, 7), (65, 45, 20), (130, 25, 10)],
+    [
+        (3, 500, 64), (8, 300, 64), (9, 300, 64), (16, 150, 40), (17, 150, 40), (32, 80, 24), (33, 80, 24),
+        (57, 60, 16), (58, 60, 16), (64, 45, 7), (65, 45, 20), (130, 25, 10),
+    ],
 )
 def test_every_width_matches_the_permutation_reference(n, permutations, chunk_size):
     plan = SamplingPlan(permutations, seed=1000 + n, chunk_size=chunk_size)
@@ -248,7 +252,11 @@ def _documented_calls(n: int, plan: SamplingPlan) -> tuple[list[int], list[int]]
     return calls, permutations
 
 
-STREAM_CASES = pytest.mark.parametrize("n, permutations, chunk_size", [(6, 300, 40), (65, 30, 8)])
+# a prefix word fits 8 bits up to n = 8, 16 up to 16, 32 up to 32 and 64 beyond
+STREAM_CASES = pytest.mark.parametrize(
+    "n, permutations, chunk_size",
+    [(6, 300, 40), (8, 60, 16), (9, 60, 16), (16, 40, 12), (17, 40, 12), (32, 30, 8), (33, 30, 8), (65, 30, 8)],
+)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -329,6 +337,48 @@ def test_step_table_holds_each_step_once(monkeypatch, n, permutations, chunk_siz
     assert counts == [expected[step] for step in steps]
     assert sum(counts) == permutations * n
     assert [values[k] for k in joined] == [_mixing_value(m | 1 << p) for m, p in steps]
+
+
+def test_step_keys_past_16_bits_follow_the_documented_stream():
+    # the first chunk holds 73,754 distinct prefixes, so prefix ranks and step keys both pass 16 bits
+    n, plan = 30, SamplingPlan(3_100, seed=3, chunk_size=3_000)
+    coalitions = sampling._count_steps(n, plan.seed, 0, plan.chunk_size)[0]
+    assert coalitions.size - 1 > 2**16
+    _assert_matches_reference(n, plan, _mixing_value, workers=(2,))
+    players = PlayerSet(tuple(f"p{i}" for i in range(n)))
+    calls, expected = _documented_calls(n, plan)
+    masks = []
+
+    def oracle(coalition):
+        masks.append(coalition.mask)
+        return _mixing_value(coalition.mask)
+
+    sample_shapley(oracle, players, plan)
+    assert masks == calls
+    for call in (0, len(calls) // 2, len(calls) - 1):
+
+        def failing(coalition):
+            if coalition.mask == calls[call]:
+                raise RuntimeError("boom")
+            return 0
+
+        with pytest.raises(OracleError) as err:
+            sample_shapley(failing, players, plan)
+        assert err.value.permutation_index == expected[call]
+
+
+@pytest.mark.parametrize("n, arrays", [(12, 2.5), (64, 5.5), (130, 7.7)])
+def test_counting_a_chunk_peaks_below_a_stated_number_of_arrays(n, arrays):
+    # the peak of traced allocations, in arrays of chunk size x n 8-byte words
+    count = DEFAULT_CHUNK_SIZE
+    sampling._count_steps(n, 5, 0, count)  # numpy's first-call setup is not counted
+    tracemalloc.start()
+    try:
+        sampling._count_steps(n, 5, 0, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * count * n * 8
 
 
 def test_sorted_keys_stay_in_few_arrays():
