@@ -259,25 +259,19 @@ class CriteriaHierarchy:
         )
 
 
-def synthesize_factors(
-    h: CriteriaHierarchy,
-    *,
-    allow_inconsistent: bool = False,
-) -> AdjustmentFactors:
+def synthesize_factors(h: CriteriaHierarchy) -> AdjustmentFactors:
     """Weighted-sum synthesis of per-player influence factors.
 
     G_i = sum_k criteria_weight[k] * player_scores[k][i], computed in
     floats, then divided by their exact sum, so the factors sum to
-    exactly 1. Every matrix-sourced level must pass the consistency gate
-    unless ``allow_inconsistent``.
+    exactly 1. Every matrix-sourced level must pass the consistency gate.
     """
-    if not allow_inconsistent:
-        if h.criteria_consistency is not None and not h.criteria_consistency.passed:
-            raise ConsistencyGateError("criteria", h.criteria_consistency.cr)
-        for label in h.criteria_weights.labels:
-            report = h.score_consistency.get(label)
-            if report is not None and not report.passed:
-                raise ConsistencyGateError(label, report.cr)
+    if h.criteria_consistency is not None and not h.criteria_consistency.passed:
+        raise ConsistencyGateError("criteria", h.criteria_consistency.cr)
+    for label in h.criteria_weights.labels:
+        report = h.score_consistency.get(label)
+        if report is not None and not report.passed:
+            raise ConsistencyGateError(label, report.cr)
     players = h.players
     g = np.zeros(len(players))
     for label, weight in zip(h.criteria_weights.labels, h.criteria_weights.w):

@@ -24,20 +24,23 @@ A scenario is a UTF-8 JSON document::
 
 Numbers are strings, either decimals ("0.6648") or integer ratios
 ("6648/9984"), and are parsed exactly. Coalition values are read once,
-straight into the integer-pair :class:`~chainshare.game.ValueTable` that
-the game built from the scenario uses as it is. ``factors`` and ``ahp`` are
-mutually exclusive; an alternatives entry is a player->score map of
-direct normalized scores or a full pairwise matrix over the players in
-order. Member lists are canonicalized on parse, so permuted lists name
-the same coalition.
+a column at a time, straight into the integer-pair
+:class:`~chainshare.game.ValueTable` that the game built from the
+scenario uses as it is. ``factors`` and ``ahp`` are mutually exclusive;
+an alternatives entry is a player->score map of direct normalized scores
+or a full pairwise matrix over the players in order. Member lists are
+canonicalized on parse, so permuted lists name the same coalition.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
+from itertools import repeat
+from operator import setitem
 from pathlib import Path
 from typing import Mapping
 
@@ -45,7 +48,7 @@ from .adjust import MODES, AdjustmentFactors, compute_deltas
 from .ahp import ComparisonMatrix, CriteriaHierarchy, WeightVector, synthesize_factors
 from .errors import ChoiceError, IdentifierError, MatrixValidationError, NumberError, ScenarioError
 from .game import CharacteristicFunction, PlayerSet, ValueTable, _unique_labels
-from .rational import exact_string, parse_pair
+from .rational import exact_string, parse_pair, plain_pairs, plain_ratios
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,9 @@ class ScenarioFile:
 
     A parsed scenario's ``coalition_values`` is a read-only
     :class:`~chainshare.game.ValueTable`: Fractions keyed by coalition mask.
+    The parser reads it a column at a time (every entry's members, then
+    every value) when all entries are plain, and entry by entry otherwise;
+    both give the same integer pairs, or the same error.
     """
 
     players: tuple[str, ...]
@@ -146,12 +152,65 @@ def _parse_players(doc: dict) -> tuple[str, ...]:
 
 
 def _parse_coalitions(doc: dict, players: tuple[str, ...]) -> ValueTable:
+    """The coalitions' values, read in columns when every entry is plain, else
+    entry by entry: one table or one error for a document either way."""
     coalitions = doc.get("coalitions")
     if coalitions is None:
         raise ScenarioError("missing required field", "coalitions")
     if not isinstance(coalitions, list) or not coalitions:
         raise ScenarioError("must be a non-empty list of {members, value} entries", "coalitions")
     bits = {p: 1 << i for i, p in enumerate(players)}
+    table = _read_columns(coalitions, bits, len(players))
+    if table is None:
+        table = _read_entries(coalitions, bits, players)
+    return table
+
+
+def _scatter(column, masks: list[int], items) -> None:
+    """``column[mask] = item`` for each pair, with no Python step per pair."""
+    deque(map(setitem, repeat(column), masks, items), maxlen=0)
+
+
+def _read_columns(coalitions: list, bits: dict[str, int], n: int) -> ValueTable | None:
+    """The table, read a column at a time, when every entry is a dict of a
+    list of known members, none repeated, and a value :func:`plain_ratios`
+    accepts, and no coalition is given twice; else None.
+
+    No step runs in Python once per entry. On success ``coalitions``, the
+    parser's own list, is emptied, so that its entries are freed before the
+    values are read; on None it is untouched, for :func:`_read_entries`.
+    """
+    try:  # dict.__getitem__ refuses an entry that is not a dict
+        members = list(map(dict.__getitem__, coalitions, repeat("members")))
+        values = list(map(dict.__getitem__, coalitions, repeat("value")))
+    except (KeyError, TypeError):
+        return None
+    ratios = plain_ratios(values)
+    if ratios is None or set(map(len, coalitions)) != {2}:  # a value not plain, or a key besides the two
+        return None
+    try:  # list.__iter__ refuses members that are not a list
+        masks = list(map(sum, map(map, repeat(bits.__getitem__), map(list.__iter__, members))))
+    except (KeyError, TypeError):  # or an unknown or unhashable name
+        return None
+    # An empty list gives mask 0. A mask's bit count is at most its list's
+    # length, and equal unless a member repeats, so equal totals mean that no
+    # member repeats anywhere.
+    if 0 in masks or sum(map(int.bit_count, masks)) != sum(map(len, members)):
+        return None
+    table = ValueTable(n)
+    _scatter(table.denominators, masks, repeat(1))
+    if len(table) != len(masks):  # a coalition given twice
+        return None
+    coalitions.clear()
+    del members
+    for column, read in zip((table.numerators, table.denominators), plain_pairs(values, ratios)):
+        _scatter(column, masks, read)
+    return table
+
+
+def _read_entries(coalitions: list, bits: dict[str, int], players: tuple[str, ...]) -> ValueTable:
+    """The table, read one entry at a time: every value :func:`_number_pair`
+    accepts, and the first error in document order."""
     table = ValueTable(len(players))
     numerators, denominators = table.numerators, table.denominators
     keys = {"members", "value"}

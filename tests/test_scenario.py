@@ -1,16 +1,18 @@
+import copy
 import json
 import random
 from collections.abc import Mapping, MutableMapping
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chainshare import scenario as scenario_module
 from chainshare.adjust import adjusted_shapley
 from chainshare.errors import EnumerationBoundError, IdentifierError, IncompleteGameError, NumberError, ScenarioError
 from chainshare.game import ENUMERATION_MAX_PLAYERS, CharacteristicFunction, PlayerSet
-from chainshare.rational import parse_rational
+from chainshare.rational import MAX_DIGITS, exact_string, parse_rational
 from chainshare.scenario import (
     AhpBlock,
     ScenarioFile,
@@ -505,3 +507,120 @@ def test_coalition_values_read_what_fraction_reads_and_fail_at_their_locus(raw):
             assert err.locus == locus
         else:
             assert type(got) is Fraction and got == expected
+
+
+# --- the column reader against the entry reader ----------------------------
+
+COLUMN_PLAYERS = ("A", "B", "C", "D")
+WIDE_PLAYERS = tuple(f"p{i}" for i in range(ENUMERATION_MAX_PLAYERS + 2))  # a sparse table
+_decimals = st.builds(lambda whole, places: f"{whole}.{places}" if places else str(whole),
+                      st.integers(-(10**6), 10**6), st.sampled_from(["", "5", "25", "001", "50"]))
+_ratios = st.builds(lambda p, q: f"{p}/{q}", st.integers(0, 10**6), st.sampled_from([1, 3, 4, 7, 10, 97]))
+# Values the column reader must leave to the entry reader, and what it must read the same.
+_ODD_VALUES = st.sampled_from([
+    7, -2, 10**MAX_DIGITS, True, False, 1.5, None, "1e3", " 1", "+1", "-3/4", "1/0", "١٢", "1\n2", "", "2/4",
+    "9" * (MAX_DIGITS - 1), "9" * MAX_DIGITS, "9" * (MAX_DIGITS + 1), "-" + "9" * MAX_DIGITS,
+    "0." + "0" * (MAX_DIGITS - 3) + "1", "0." + "0" * (MAX_DIGITS - 2) + "1",
+    "1/" + "7" * (MAX_DIGITS - 2), "1/" + "7" * (MAX_DIGITS - 1),
+])
+_ODD_MEMBERS = st.sampled_from(["A", {"A": 1}, None, [], ["Z"], [["A"]], [{"A": 1}], [1], [True]])
+
+
+@st.composite
+def coalition_lists(draw) -> tuple[tuple[str, ...], list]:
+    """Players and a generated coalitions list, plain or mutated in one or more entries."""
+    wide = draw(st.integers(0, 9)) == 0
+    players = WIDE_PLAYERS if wide else COLUMN_PLAYERS[: draw(st.integers(1, len(COLUMN_PLAYERS)))]
+    if wide:
+        masks = draw(st.lists(st.integers(1, (1 << len(players)) - 1), min_size=1, max_size=6, unique=True))
+    else:
+        masks = draw(st.permutations(range(1, 1 << len(players))))
+        masks = masks[: draw(st.integers(1, len(masks)))]
+    values = draw(st.sampled_from([_decimals, _ratios, _decimals | _ratios]))
+    coalitions = []
+    for mask in masks:
+        members = [p for i, p in enumerate(players) if mask >> i & 1]
+        coalitions.append({"members": draw(st.permutations(members)), "value": draw(values)})
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(coalitions) - 1))
+        if not isinstance(coalitions[i], dict) or not isinstance(coalitions[i].get("members"), list):
+            continue  # mutated past what the kinds below take
+        entry = dict(coalitions[i])
+        kind = draw(st.sampled_from(["entry", "extra", "missing", "members", "repeat", "duplicate", "value"]))
+        if kind == "entry":
+            entry = draw(st.sampled_from([["A"], "A", None, 3]))
+        elif kind == "extra":
+            entry["weight"] = 1
+        elif kind == "missing":
+            entry.pop(draw(st.sampled_from(["members", "value"])), None)
+        elif kind == "members":
+            entry["members"] = draw(_ODD_MEMBERS)
+        elif kind == "repeat":
+            entry["members"] = entry["members"] + entry["members"][:1]
+        elif kind == "duplicate":
+            coalitions.insert(draw(st.integers(0, len(coalitions))), {**entry, "members": entry["members"][::-1]})
+        else:
+            entry["value"] = draw(_ODD_VALUES)
+        coalitions[i] = entry
+    return players, json.loads(json.dumps(coalitions))
+
+
+def _table_or_error(read, coalitions: list) -> tuple:
+    try:
+        table = read(copy.deepcopy(coalitions))
+    except ScenarioError as exc:
+        return "error", str(exc), exc.locus
+    return "table", table.numerators, table.denominators
+
+
+@settings(max_examples=300, deadline=None)
+@given(coalition_lists())
+@example(case=(WIDE_PLAYERS, [{"members": ["p0"], "value": "1"}, {"members": [], "value": "2"}]))
+@example(case=(("A", "B"), [{"members": "AB", "value": "1"}]))
+@example(case=(("A", "B"), [{"members": ["A", "A"], "value": "1"}]))
+@example(case=(("A", "B"), [{"members": ["A", "B"], "value": "1"}, {"members": ["B", "A"], "value": "2"}]))
+@example(case=(("A", "B"), [{"members": ["A"], "value": "1\n2"}, {"members": ["B"], "value": "+1"}]))
+def test_the_column_reader_reads_what_the_entry_reader_reads(case):
+    players, coalitions = case
+    bits = {p: 1 << i for i, p in enumerate(players)}
+    expected = _table_or_error(lambda cs: scenario_module._read_entries(cs, bits, players), coalitions)
+    got = _table_or_error(lambda cs: scenario_module._parse_coalitions({"coalitions": cs}, players), coalitions)
+    assert got == expected
+    columns = copy.deepcopy(coalitions)
+    table = scenario_module._read_columns(columns, bits, len(players))
+    if table is None:
+        assert columns == coalitions  # left whole for the entry reader
+    else:
+        assert expected == ("table", table.numerators, table.denominators)
+
+
+def _entry_reader_refused(*args):
+    raise AssertionError("a plain table reached the entry reader")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_plain_tables_never_reach_the_entry_reader(monkeypatch, seed):
+    rng = random.Random(seed)
+    players = tuple(f"p{i}" for i in range(rng.randint(1, 7)))
+    entries = []
+    for mask in range(1, 1 << len(players)):
+        if rng.randrange(5):
+            value = Fraction(rng.randint(-(10**6), 10**6), rng.choice([1, 10, 100]))
+        else:  # a ratio, written "p/q"
+            value = Fraction(rng.randint(0, 10**4), rng.choice([3, 7, 9, 11, 13]))
+        members = [p for i, p in enumerate(players) if mask >> i & 1]
+        rng.shuffle(members)
+        entries.append({"members": members, "value": exact_string(value)})
+    rng.shuffle(entries)
+    uniform = {p: f"1/{len(players)}" for p in players}
+    extra = [
+        {},
+        {"factors": uniform, "mode": "eq3"},
+        {"ahp": {"criteria": ["k1", "k2"], "criteria_matrix": [["1", "2"], ["1/2", "1"]],
+                 "alternatives": {"k1": uniform, "k2": uniform}}},
+    ][seed % 3]
+    texts = [json.dumps({"players": list(players), "coalitions": entries, **extra})]
+    texts += [bundled_scenario(name).read_text(encoding="utf-8") for name in ("paper_case", "paper_ahp")]
+    expected = [parse_scenario(text) for text in texts]
+    monkeypatch.setattr(scenario_module, "_read_entries", _entry_reader_refused)
+    assert [parse_scenario(text) for text in texts] == expected
