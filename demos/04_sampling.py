@@ -11,8 +11,8 @@ Two engineering properties worth seeing:
 
 1. The estimates are exact rationals whose sum telescopes to v(N) on
    every run, no matter how few permutations were drawn.
-2. Chunk c of the permutation stream derives from (seed, c), so the
-   result is identical whatever the worker count.
+2. Chunk c of the permutation stream derives from (seed, c), so a plan
+   gives the same report on every run.
 """
 
 from fractions import Fraction
@@ -46,14 +46,14 @@ for m in (100, 1_000, 10_000, 100_000):
     print(f"  m={m:>7}: worst abs error {worst:8.4f}   sum of estimates = {total}")
 
 ###############################################################################
-# Determinism: same plan, different worker counts, bit-identical reports.
+# Determinism: the same plan gives a bit-identical report on every run.
 
 plan = SamplingPlan(permutations=50_000, seed=123, chunk_size=4096)
-solo = sample_shapley(game, game.player_set, plan, workers=1)
-pool = sample_shapley(game, game.player_set, plan, workers=8)
-assert solo == pool
-print("worker-count invariant:", solo.estimates == pool.estimates)
-print("generator:", solo.rng)
+first = sample_shapley(game, game.player_set, plan)
+again = sample_shapley(game, game.player_set, plan)
+assert first == again
+print("repeatable:", first.estimates == again.estimates)
+print("generator:", first.rng)
 
 ###############################################################################
 # Wide games: any callable from coalition to value works as the oracle.

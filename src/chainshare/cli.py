@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE, metavar="K",
                         help=f"permutations per deterministic chunk (default: {DEFAULT_CHUNK_SIZE})")
     sample.add_argument("--workers", type=int, default=1,
-                        help="worker threads; the report is identical for any value (default: 1)")
+                        help="accepted and ignored, at least 1: chunks are counted on one thread (default: 1)")
 
     validate = commands.add_parser("validate", parents=[common], help="superadditivity diagnostics")
     validate.add_argument("--strict", action="store_true",

@@ -29,8 +29,9 @@ RationalLike = int | str | Fraction | Decimal | float
 # writes no longer expansion, so serialized scenarios parse again.
 MAX_DIGITS = 1000
 
-# A plain ASCII decimal ("-12.50", "7") or ratio with a non-zero denominator ("4150/3").
-_PLAIN_GRAMMAR = r"(-?[0-9]+)(?:\.([0-9]+))?|([0-9]+)/([0-9]*[1-9][0-9]*)"
+# A plain ASCII decimal ("-12.50", "7") or ratio with a non-zero denominator
+# ("4150/3", "-1/3"), a minus sign only in front.
+_PLAIN_GRAMMAR = r"(-?[0-9]+)(?:\.([0-9]+))?|(-?[0-9]+)/([0-9]*[1-9][0-9]*)"
 _PLAIN = re.compile(_PLAIN_GRAMMAR).fullmatch
 # The same grammar capturing nothing, and the first line of a "\n"-joined text
 # that it does not match. A search tries each line on its own, so re keeps no

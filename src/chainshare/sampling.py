@@ -3,38 +3,37 @@
 For each sampled arrival order, every player's marginal contribution is
 v(predecessors + player) - v(predecessors). Sampling is split into
 chunks; chunk c draws its permutations from an RNG stream derived from
-(seed, c), so the output is a pure function of (oracle, players, plan)
-regardless of how many workers execute the chunks.
+(seed, c), so the output is a pure function of (oracle, players, plan).
 
-One pass serves every game width. Worker threads draw the chunks and
-count each one's distinct (prefix, player) steps with two stable sorts:
-the first ranks the distinct prefixes, whose masks are held as ceil(n/64)
-words, and the second sorts one key per step, prefix rank times n plus
-player. Each sort key is held in the narrowest unsigned dtype that fits
-it, so for keys of 16 bits or less numpy's stable sort is a radix sort.
-A chunk's coalitions are every distinct prefix and the grand coalition.
-A coalition's key is one fixed-width byte row, its mask words, most
-significant first, big-endian, so byte order is numeric mask order. The
-chunks merge in chunk order on the caller's thread: ``np.searchsorted``
-finds a chunk's coalitions among the run's sorted key arrays, and the
-oracle is called once per coalition new to the run, in ascending mask
-order. Its answers go into one list. A run's step key is an int64, its
-prefix's index in that list times n plus its player; the chunk's steps
-are found the same way among the run's steps, whose counts they add to
-in place, and new ones are added with the index of their prefix plus
-player. No step is probed one by one in Python. Each distinct step's
-marginal is then an integer k over the lcm d of its two values'
-denominators, and each player sums c*k and c*k*k as integers per
-denominator d; only those per-(player, d) sums become Fractions, added
-as a balanced tree. The sums are exact, so the estimates always sum to
-v(N) - v(empty), an equality, not a tolerance.
+One pass serves every game width, on the caller's thread, one chunk at a
+time. Each chunk's distinct (prefix, player) steps are counted with two
+stable sorts: the first ranks the distinct prefixes, whose masks are held
+as ceil(n/64) words, and the second sorts one key per step, prefix rank
+times n plus player. Each sort key is held in the narrowest unsigned
+dtype that fits it, so for keys of 16 bits or less numpy's stable sort is
+a radix sort. A chunk's coalitions are every distinct prefix and the
+grand coalition. A coalition's key is one fixed-width byte row, its mask
+words, most significant first, big-endian, so byte order is numeric mask
+order. The chunks merge in chunk order: ``np.searchsorted`` finds a
+chunk's coalitions among the run's sorted key arrays, and the oracle is
+called once per coalition new to the run, in ascending mask order. Its
+answers go into one list. A run's step key is an int64, its prefix's
+index in that list times n plus its player; the chunk's steps are found
+the same way among the run's steps, whose counts they add to in place,
+and new ones are added with the index of their prefix plus player. No
+step is probed one by one in Python. Each distinct step's marginal is
+then an integer k over the lcm d of its two values' denominators; the
+steps are grouped by (player, d) with one sort, and ``np.add.reduceat``
+sums c*k and c*k*k per group, in int64 where the values' bit lengths
+bound every sum below 2**63 and on Python ints past that. Only those
+per-(player, d) sums become Fractions, added as a balanced tree. The sums
+are exact, so the estimates always sum to v(N) - v(empty), an equality,
+not a tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -49,10 +48,17 @@ _WORD_BITS = 64
 
 DEFAULT_CHUNK_SIZE = 4096
 
-# Counting a chunk peaks at about 5.4 arrays of chunk size x n 8-byte words per
-# counting thread at 64 players and 7.6 at 130 (about 170 MiB at this bound and
-# 64 players), so plans are bounded.
+# Counting a chunk peaks at about 5.4 arrays of chunk size x n 8-byte words at
+# 64 players and 7.6 at 130 (about 170 MiB at this bound and 64 players), and
+# one chunk is counted at a time, so plans are bounded.
 MAX_CHUNK_SIZE = 65_536
+
+# An int64 holds every magnitude below 2**63.
+_INT64_BITS = 63
+
+# Steps whose marginals are summed at a time, so the sums' temporaries peak
+# near fifteen columns of this size, in int64 or Python ints of any size.
+_SUM_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -243,7 +249,7 @@ class _StepTable:
 
 
 def _merge_steps(
-    table: _StepTable, players: PlayerSet, chunk_start: int, counting: Future
+    table: _StepTable, players: PlayerSet, chunk_start: int, counted: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge a chunk's counted steps into the run's step table.
 
@@ -255,7 +261,7 @@ def _merge_steps(
     first one of the stream that needs it. The oracle is left to
     :func:`_evaluate`, so the chunk's arrays are freed before it runs.
     """
-    coalitions, needed_by, counts, step_players, joined, prefix = counting.result()
+    coalitions, needed_by, counts, step_players, joined, prefix = counted
     found, due = table.coalitions.match(coalitions)
     slots = np.empty(coalitions.size, np.int64)
     for (_, held), where, at in found:
@@ -313,6 +319,66 @@ def _std_error(variance: Fraction, player: str) -> float:
         raise FloatRangeError(f"standard error of {player!r}") from None
 
 
+def _marginal_sums(table: _StepTable, n: int, m: int) -> list[dict[int, list[int]]]:
+    """For each player, its steps' sums of c*k and c*k*k, keyed by denominator d.
+
+    A step counted c times, whose prefix plus player is worth a/a_den and
+    whose prefix is worth b/b_den, has the marginal k/d, where d is the lcm
+    of the two denominators and k = a*(d//a_den) - b*(d//b_den). The steps
+    are grouped by one sort of d*n + player, and each group's sums are
+    taken by ``np.add.reduceat``, so Python steps once per group.
+
+    The columns are int64 when the values' bit lengths bound every key, k
+    and group sum below 2**63: a player's counts add up to m, and c*k*k is
+    summed in three products of two limbs of |k|, each limb below
+    2**half. Past that bound the same expressions run on Python ints.
+    Either way the steps are taken ``_SUM_BLOCK`` at a time.
+    """
+    numerators, denominators = zip(*table.values)
+    num_bits = max(max(numerators), -min(numerators)).bit_length()
+    den_bits = max(denominators).bit_length()
+    half = (num_bits + den_bits + 2) // 2  # |k| < 2**(num_bits + den_bits + 1) <= 2**(2 * half)
+    # d < 2**(2 * den_bits), and a sum over c is at most m times its largest term
+    fits = 2 * den_bits + n.bit_length() <= _INT64_BITS and m.bit_length() + 2 * half <= _INT64_BITS
+    dtype = np.int64 if fits else object
+    num = np.fromiter(numerators, dtype, len(numerators))
+    den = np.fromiter(denominators, dtype, len(denominators))
+    keys, counts, joined = (np.concatenate(column) for column in zip(*table.steps.arrays))
+    sums: list[dict[int, list[int]]] = [{} for _ in range(n)]
+    for start in range(0, keys.size, _SUM_BLOCK):
+        block = slice(start, start + _SUM_BLOCK)
+        before, player = np.divmod(keys[block], n)
+        after = joined[block]
+        d = np.lcm(den[after], den[before])
+        k = num[after] * (d // den[after]) - num[before] * (d // den[before])
+        key = d * n + player
+        order = np.argsort(key)
+        key, k, c = key[order], k[order], counts[block][order]
+        new = np.empty(key.size, bool)
+        new[0] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        groups = np.flatnonzero(new)
+        ck = c * k
+        totals = np.add.reduceat(ck, groups).tolist()
+        if fits:  # k*k = (high * 2**half + low)**2
+            k = np.abs(k)
+            high, low = k >> half, k & ((1 << half) - 1)
+            limbs = ((high, high), (high, low), (low, low))
+            hh, hl, ll = (np.add.reduceat(c * x * y, groups).tolist() for x, y in limbs)
+            squares = [(x << 2 * half) + (y << (half + 1)) + z for x, y, z in zip(hh, hl, ll)]
+        else:
+            squares = np.add.reduceat(ck * k, groups).tolist()
+        for group, t, sq in zip(key[groups].tolist(), totals, squares):
+            d, player = divmod(group, n)
+            entry = sums[player].get(d)
+            if entry is None:
+                sums[player][d] = [t, sq]
+            else:
+                entry[0] += t
+                entry[1] += sq
+    return sums
+
+
 def sample_shapley(
     oracle: Callable,
     players: PlayerSet,
@@ -329,46 +395,23 @@ def sample_shapley(
     so it need not be thread-safe: chunk by chunk, on the coalitions the
     chunk needs that no earlier chunk did, in ascending mask order. If it
     raises, :class:`OracleError` names the first permutation of the
-    stream that needs the coalition it was asked for. ``workers`` threads
-    draw and count chunks; at most ``workers`` counted chunks are held at
-    once. The report is identical for identical (players, plan) inputs
-    whatever ``workers`` is; chunks merge in index order.
+    stream that needs the coalition it was asked for. Chunks are drawn,
+    counted and merged in index order on the calling thread, one at a
+    time. ``workers`` must be an int >= 1 and is otherwise ignored: it is
+    kept for callers that pass it, and the report does not depend on it.
     """
-    if workers < 1:
-        raise SamplingPlanError(f"worker count must be >= 1, got {workers}")
-    n = players.n
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise SamplingPlanError(f"worker count must be an int >= 1, got {workers!r}")
     m = plan.permutations
     table = _StepTable()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        for chunk_index, chunk_start in enumerate(range(0, m, plan.chunk_size)):
-            if len(pending) == workers:
-                _evaluate(table, oracle, players, *_merge_steps(table, players, *pending.popleft()))
-            count = min(plan.chunk_size, m - chunk_start)
-            pending.append((chunk_start, pool.submit(_count_steps, n, plan.seed, chunk_index, count)))
-        while pending:
-            _evaluate(table, oracle, players, *_merge_steps(table, players, *pending.popleft()))
+    for chunk_index, chunk_start in enumerate(range(0, m, plan.chunk_size)):
+        count = min(plan.chunk_size, m - chunk_start)
+        due = _merge_steps(table, players, chunk_start, _count_steps(players.n, plan.seed, chunk_index, count))
+        _evaluate(table, oracle, players, *due)
     # Sums are kept per denominator, not over one lcm of the whole table:
     # with a distinct prime denominator per coalition that lcm makes every
     # marginal an int of thousands of digits.
-    sums: list[dict[int, list[int]]] = [{} for _ in range(n)]
-    values = table.values
-    keys, counts, joined_slots = (np.concatenate(column) for column in zip(*table.steps.arrays))
-    prefix_slots, step_players = np.divmod(keys, n)
-    del keys
-    for player, c, joined, prefix in zip(
-        step_players.tolist(), counts.tolist(), joined_slots.tolist(), prefix_slots.tolist()
-    ):
-        a, a_den = values[joined]
-        b, b_den = values[prefix]
-        d = math.lcm(a_den, b_den)
-        k = a * (d // a_den) - b * (d // b_den)
-        entry = sums[player].get(d)
-        if entry is None:  # not setdefault: no throwaway list per step
-            sums[player][d] = [c * k, c * k * k]
-        else:
-            entry[0] += c * k
-            entry[1] += c * k * k
+    sums = _marginal_sums(table, players.n, m)
     totals = [_pairwise_sum([Fraction(t, d) for d, (t, _) in by_den.items()]) for by_den in sums]
     squares = [_pairwise_sum([Fraction(sq, d * d) for d, (_, sq) in by_den.items()]) for by_den in sums]
     return EstimateReport(

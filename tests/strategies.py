@@ -127,7 +127,12 @@ def _long_numbers(draw) -> str:
     return head + "9" * (length - len(head))
 
 
-number_texts = _short_numbers | _long_numbers() | st.text("0123456789._/-+eE ١", max_size=8)
+# Ratios with a sign in front, on either side or both, some with a zero denominator.
+_signed_ratios = st.tuples(
+    st.sampled_from(["-", "-", "-0", "+", "--"]), _digit_runs, st.sampled_from(["/", "/-"]), _digit_runs
+).map("".join)
+
+number_texts = _short_numbers | _signed_ratios | _long_numbers() | st.text("0123456789._/-+eE ١", max_size=8)
 
 # What a scenario may hold where a number belongs: the strings above, JSON
 # ints (some at the digit bound) and bools.

@@ -71,3 +71,10 @@ FACTORS = compute_deltas(["0.5", "0.5"], GAME.player_set)
 def test_each_rule_raises_its_named_error(error, call):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("workers", [0, -2, 1.5, 2.0, "2", None, True, False])
+def test_a_worker_count_is_an_int_of_at_least_one(workers):
+    # 1.5 once passed the >= 1 check, and "2" and None raised a bare TypeError
+    with pytest.raises(errors.SamplingPlanError, match="worker count"):
+        sample_shapley(GAME, GAME.player_set, SamplingPlan(5, seed=0), workers=workers)

@@ -109,7 +109,7 @@ def _column_reader_reads_what_the_pair_reader_reads(texts: list[str]) -> None:
 
 @pytest.mark.parametrize(
     "texts",
-    [["1\n2"], ["1", "2\n3"], ["1", ""], ["5", "1/0"], ["-3/4"], ["+1"], ["1", " 2.5"], ["1."], [".5"], ["1e3"],
+    [["1\n2"], ["1", "2\n3"], ["1", ""], ["5", "1/0"], ["3/-4"], ["+1"], ["1", " 2.5"], ["1."], [".5"], ["1e3"],
      ["١٢"], ["1_0"], ["1", "9" * (MAX_DIGITS + 1)], [], ["1", 2]],
 )
 def test_column_reader_takes_only_one_plain_string_a_line(texts):
@@ -118,7 +118,8 @@ def test_column_reader_takes_only_one_plain_string_a_line(texts):
 
 @pytest.mark.parametrize(
     "text,pair",
-    [("1.50", (150, 100)), ("-0.5", (-5, 10)), ("-0", (0, 1)), ("007", (7, 1)), ("6/4", (6, 4)), ("0/5", (0, 5))],
+    [("1.50", (150, 100)), ("-0.5", (-5, 10)), ("-0", (0, 1)), ("007", (7, 1)), ("6/4", (6, 4)), ("0/5", (0, 5)),
+     ("-6/4", (-6, 4)), ("-0/5", (0, 5))],
 )
 def test_pair_reader_keeps_plain_strings_unreduced(text, pair):
     assert parse_pair(text) == pair

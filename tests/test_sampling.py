@@ -193,6 +193,50 @@ def test_one_prime_denominator_per_coalition_matches_the_permutation_reference()
     _assert_matches_reference(n, SamplingPlan(150, seed=5, chunk_size=40), table.__getitem__)
 
 
+def _wide_table(n: int, bits: int, seed: int) -> list[Fraction]:
+    """Values near +-2**bits over a distinct prime denominator per coalition."""
+    rng = random.Random(seed)
+    top = 1 << bits
+    table = [Fraction(rng.choice((-1, 1)) * (top - rng.randrange(top >> 4)), p) for p in _primes(1 << n)]
+    table[0] = Fraction(0)
+    return table
+
+
+@pytest.mark.parametrize("permutations", [1, 300])
+@pytest.mark.parametrize("bits", [44, 62])
+def test_marginal_sums_stay_exact_past_int64(bits, permutations):
+    # 64 prime denominators below 2**9: with 300 permutations, 44-bit numerators
+    # are the widest the int64 sums take, and at 62 bits the marginals times
+    # their denominators pass 2**63
+    n = 6
+    plan = SamplingPlan(permutations, seed=bits, chunk_size=128)
+    report = _assert_matches_reference(n, plan, _wide_table(n, bits, bits).__getitem__, workers=(1,))
+    if permutations == 1:
+        assert report.std_error == (0.0,) * n
+
+
+@pytest.mark.parametrize("scale", [1, 2**62 + 1], ids=["int64", "python-ints"])
+def test_marginal_sums_merge_across_blocks(monkeypatch, scale):
+    # eleven denominators, so each (player, d) group spans many blocks of 7 steps
+    monkeypatch.setattr(sampling, "_SUM_BLOCK", 7)
+    plan = SamplingPlan(200, seed=3, chunk_size=64)
+    _assert_matches_reference(5, plan, lambda mask: scale * _mixing_value(mask), workers=(1,))
+
+
+@pytest.mark.parametrize("permutations", [2**13 - 1, 2**13])
+def test_the_sums_hold_marginals_at_the_int64_bound(permutations):
+    # Player b's step from {a} to {a, b} has the marginal
+    # (2**31 - 1) * (2**17 - 1) / ((2**16 - 1) * 2**16), a k of 48 bits against
+    # the bound of 2**50 for 31-bit numerators over 17-bit denominators. With
+    # 2**13 - 1 permutations that bound is the widest the int64 sums take;
+    # 2**13 permutations take the Python-int sums.
+    top = 2**31 - 1
+    values = {0: Fraction(0), 1: Fraction(-top, 2**16), 2: Fraction(1, 3), 3: Fraction(top, 2**16 - 1)}
+    half = (31 + 17 + 2) // 2
+    assert (2**13 - 1).bit_length() + 2 * half == sampling._INT64_BITS
+    _assert_matches_reference(2, SamplingPlan(permutations, seed=4), values.__getitem__, workers=(1,))
+
+
 def test_one_permutation_matches_the_reference_with_zero_error():
     report = _assert_matches_reference(6, SamplingPlan(1, seed=8), _mixing_value)
     assert report.std_error == (0.0,) * 6

@@ -624,3 +624,15 @@ def test_plain_tables_never_reach_the_entry_reader(monkeypatch, seed):
     expected = [parse_scenario(text) for text in texts]
     monkeypatch.setattr(scenario_module, "_read_entries", _entry_reader_refused)
     assert [parse_scenario(text) for text in texts] == expected
+
+
+def test_a_serialized_table_of_negative_ratios_is_read_in_columns(monkeypatch):
+    values = {1: Fraction(1), 2: Fraction(-1, 3), 3: Fraction(5, 2), 4: Fraction(-22, 7), 5: Fraction(-1, 6),
+              6: Fraction(2, -9), 7: Fraction(-4)}
+    sf = ScenarioFile(players=("A", "B", "C"), coalition_values=values)
+    text = serialize_scenario(sf)
+    assert {"-1/3", "-22/7", "-1/6", "-2/9"} <= {entry["value"] for entry in json.loads(text)["coalitions"]}
+    monkeypatch.setattr(scenario_module, "_read_entries", _entry_reader_refused)
+    parsed = parse_scenario(text)
+    assert dict(parsed.coalition_values) == values
+    assert parsed == sf
