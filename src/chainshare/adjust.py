@@ -30,7 +30,7 @@ from .rational import RationalLike, parse_rational
 
 FACTOR_SUM_TOLERANCE = Fraction(1, 100)
 
-MODES = ("eq3", "grand")
+MODES = ("eq3", "grand")  # the first is the default
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def weighted_value_sums(game: CharacteristicFunction) -> tuple[Fraction, ...]:
 def adjusted_shapley(
     game: CharacteristicFunction,
     factors: AdjustmentFactors,
-    mode: str = "eq3",
+    mode: str = MODES[0],
 ) -> AdjustedAllocation:
     """Apply influence-factor adjustments to the exact Shapley allocation.
 

@@ -34,7 +34,7 @@ WEIGHT_SUM_TOLERANCE = 1e-9
 POWER_TOLERANCE = 1e-12
 POWER_MAX_ITERATIONS = 10_000
 
-METHODS = ("power", "geometric")
+METHODS = ("power", "geometric")  # the first is the default
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +175,7 @@ def geometric_mean_weights(a: np.ndarray) -> np.ndarray:
 def principal_weights(
     m: ComparisonMatrix,
     *,
-    method: str = "power",
+    method: str = METHODS[0],
 ) -> tuple[WeightVector, ConsistencyReport]:
     """Weights and consistency verdict for one comparison matrix.
 
@@ -235,7 +235,7 @@ class CriteriaHierarchy:
         criteria: ComparisonMatrix,
         alternatives: Mapping[str, ComparisonMatrix | WeightVector],
         *,
-        method: str = "power",
+        method: str = METHODS[0],
     ) -> CriteriaHierarchy:
         """Evaluate every comparison matrix in a two-level hierarchy.
 

@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     ahp = commands.add_parser("ahp", help="pairwise-comparison weighting commands")
     ahp_commands = ahp.add_subparsers(dest="ahp_command", required=True, metavar="SUBCOMMAND")
     weights = ahp_commands.add_parser("weights", parents=[common], help="criteria weights and consistency")
-    weights.add_argument("--method", choices=METHODS, default="power",
+    weights.add_argument("--method", choices=METHODS, default=METHODS[0],
                          help="weight extraction method (default: power iteration)")
     ahp_commands.add_parser(
         "synthesize", parents=[common],
@@ -85,7 +85,7 @@ def _allocate(sf, args) -> ReportDocument:
     factors = resolve_factors(sf, normalize=args.normalize or None)
     if factors is None:
         raise ChainshareError("scenario carries no adjustment factors; add a 'factors' map or an 'ahp' section")
-    adjusted = adjusted_shapley(game, factors, args.mode or sf.mode or "eq3")
+    adjusted = adjusted_shapley(game, factors, args.mode or sf.mode or MODES[0])
     return ReportDocument("allocate", sf.players, (
         report.classical(sf.players, adjusted.base), report.adjusted(sf.players, adjusted)), csv=1)
 

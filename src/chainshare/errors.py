@@ -56,7 +56,8 @@ class AlignmentError(ChainshareError, ValueError):
 class FactorSumError(ChainshareError):
     """Raw adjustment factors do not sum to 1 within tolerance, or cannot be normalized."""
 
-    def __init__(self, total, tolerance, remedy="pass normalize=True to rescale"):
+    def __init__(self, total, tolerance,
+                 remedy='rescale with --normalize, "normalize_factors": true in the scenario, or normalize=True'):
         from .rational import format_fixed  # rational raises the errors defined here
 
         self.total = total
@@ -102,10 +103,12 @@ class SamplingPlanError(ChainshareError, ValueError):
 
 
 class FloatRangeError(ChainshareError):
-    """A result reported as a float lies beyond the float range (about 1.8e308)."""
+    """A result reported as a float lies beyond the float range."""
+
+    BEYOND = "beyond the float range (about 1.8e308)"  # the wording of every message that names the range
 
     def __init__(self, what: str):
-        super().__init__(f"{what} lies beyond the float range (about 1.8e308)")
+        super().__init__(f"{what} lies {self.BEYOND}")
 
 
 class OracleError(ChainshareError):

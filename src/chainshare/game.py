@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, islice
 from operator import add, mul
@@ -46,34 +46,46 @@ def _unique_labels(labels: Iterable[str], what: str) -> tuple[str, ...]:
     return out
 
 
+def _mask_of(bits: Mapping[str, int], members: Iterable[str]) -> int:
+    """The mask of ``members`` by a player set's ``bits``: every name a known player, none repeated."""
+    mask = 0
+    for name in members:
+        try:
+            bit = bits[name]
+        except (KeyError, TypeError):  # an unknown or unhashable name
+            raise IdentifierError(f"unknown player {name!r}") from None
+        if mask & bit:
+            raise IdentifierError(f"player {name!r} listed twice")
+        mask |= bit
+    return mask
+
+
 @dataclass(frozen=True)
 class PlayerSet:
-    """Ordered unique player identifiers; the order fixes bit positions."""
+    """Ordered unique player identifiers; the order fixes bit positions. ``bits``, built
+    once, maps each name to its bit for every reader of names; :meth:`members` maps back."""
 
     players: tuple[str, ...]
+    bits: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "players", _unique_labels(self.players, "player"))
+        object.__setattr__(self, "bits", {p: 1 << i for i, p in enumerate(self.players)})
 
     @property
     def n(self) -> int:
         return len(self.players)
 
     def index(self, player: str) -> int:
-        try:
-            return self.players.index(player)
-        except ValueError:
-            raise IdentifierError(f"unknown player {player!r}") from None
+        return _mask_of(self.bits, (player,)).bit_length() - 1
 
     def coalition(self, members: Iterable[str]) -> Coalition:
         """The coalition of ``members``: every name a known player, none repeated."""
-        mask = 0
-        for name in members:
-            bit = 1 << self.index(name)
-            if mask & bit:
-                raise IdentifierError(f"player {name!r} listed twice")
-            mask |= bit
-        return Coalition(self, mask)
+        return Coalition(self, _mask_of(self.bits, members))
+
+    def members(self, mask: int) -> tuple[str, ...]:
+        """The names of the players in ``mask``, in player order."""
+        return tuple(p for p, bit in self.bits.items() if mask & bit)
 
     @property
     def grand_coalition(self) -> Coalition:
@@ -103,7 +115,7 @@ class Coalition:
 
     @property
     def members(self) -> tuple[str, ...]:
-        return tuple(p for i, p in enumerate(self.player_set.players) if self.mask >> i & 1)
+        return self.player_set.members(self.mask)
 
     def contains(self, player: str) -> bool:
         return bool(self.mask >> self.player_set.index(player) & 1)
@@ -190,13 +202,13 @@ class ValueTable(Mapping[int, Fraction]):
     def __repr__(self) -> str:
         return f"ValueTable({dict(self)!r})"
 
-    def mask_for(self, players: PlayerSet, members) -> int:
-        """The mask under which ``members`` take a value here: a non-empty
-        list of known players, none repeated, naming a coalition that holds
-        no value yet."""
+    def mask_for(self, bits: Mapping[str, int], members) -> int:
+        """The mask under which ``members`` take a value here, by a
+        :class:`PlayerSet`'s ``bits``: a non-empty list of known players,
+        none repeated, naming a coalition that holds no value yet."""
         if not members:
             raise IdentifierError("members must be a non-empty list")
-        mask = players.coalition(members).mask
+        mask = _mask_of(bits, members)
         if self.denominators[mask]:
             raise IdentifierError("duplicate coalition {" + ", ".join(sorted(members)) + "}")
         return mask
@@ -268,7 +280,7 @@ class CharacteristicFunction:
                 table.numerators[mask], table.denominators[mask] = parse_pair(value)
             object.__setattr__(self, "values", table)
         if 0 in table.denominators:
-            raise IncompleteGameError(Coalition(self.player_set, table.denominators.index(0)).members)
+            raise IncompleteGameError(self.player_set.members(table.denominators.index(0)))
 
     @classmethod
     def from_values(
@@ -282,7 +294,7 @@ class CharacteristicFunction:
         player_set = players if isinstance(players, PlayerSet) else PlayerSet(tuple(players))
         table = ValueTable(player_set.n)
         for members, value in values.items():
-            mask = table.mask_for(player_set, (members,) if isinstance(members, str) else tuple(members))
+            mask = table.mask_for(player_set.bits, (members,) if isinstance(members, str) else tuple(members))
             table.numerators[mask], table.denominators[mask] = parse_pair(value)
         return cls(player_set, table)
 

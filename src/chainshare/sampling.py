@@ -6,27 +6,12 @@ chunks; chunk c draws its permutations from an RNG stream derived from
 (seed, c), so the output is a pure function of (oracle, players, plan).
 
 One pass serves every game width, on the caller's thread, one chunk at a
-time. Each chunk's distinct (prefix, player) steps are counted with two
-stable sorts: the first ranks the distinct prefixes, whose masks are held
-as ceil(n/64) words, and the second sorts one key per step, prefix rank
-times n plus player. Each sort key is held in the narrowest unsigned
-dtype that fits it, so for keys of 16 bits or less numpy's stable sort is
-a radix sort. A chunk's coalitions are every distinct prefix and the
-grand coalition. A coalition's key is one fixed-width byte row, its mask
-words, most significant first, big-endian, so byte order is numeric mask
-order. The chunks merge in chunk order: ``np.searchsorted`` finds a
-chunk's coalitions among the run's sorted key arrays, and the oracle is
-called once per coalition new to the run, in ascending mask order. Its
-answers go into one list. A run's step key is an int64, its prefix's
-index in that list times n plus its player; the chunk's steps are found
-the same way among the run's steps, whose counts they add to in place,
-and new ones are added with the index of their prefix plus player. No
-step is probed one by one in Python. Each distinct step's marginal is
-then an integer k over the lcm d of its two values' denominators; the
-steps are grouped by (player, d) with one sort, and ``np.add.reduceat``
-sums c*k and c*k*k per group, in int64 where the values' bit lengths
-bound every sum below 2**63 and on Python ints past that. Only those
-per-(player, d) sums become Fractions, added as a balanced tree. The sums
+time: :func:`_count_steps` counts a chunk's distinct (prefix, player)
+steps, :func:`_merge_steps` merges them in chunk order into the run's
+:class:`_StepTable`, and :func:`_evaluate` asks the oracle once per
+coalition new to the run, in ascending mask order; no step is probed one
+by one in Python. :func:`_marginal_sums` sums each player's marginals as
+integers per denominator, and only those sums become Fractions. The sums
 are exact, so the estimates always sum to v(N) - v(empty), an equality,
 not a tolerance.
 """
@@ -42,7 +27,7 @@ import numpy as np
 
 from .errors import FloatRangeError, OracleError, SamplingPlanError
 from .game import Coalition, PlayerSet
-from .rational import parse_rational
+from .rational import parse_pair
 
 _WORD_BITS = 64
 
@@ -61,6 +46,12 @@ _INT64_BITS = 63
 _SUM_BLOCK = 8192
 
 
+def _check_count(value, low: int, high: int | float, rule: str) -> None:
+    """SamplingPlanError "``rule``, got ``value``" unless ``value`` is an int, not a bool, in low..high - 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value < high:
+        raise SamplingPlanError(f"{rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SamplingPlan:
     """How many permutations to draw, from which seed, in which chunks."""
@@ -70,12 +61,9 @@ class SamplingPlan:
     chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def __post_init__(self):
-        if not isinstance(self.permutations, int) or self.permutations < 1:
-            raise SamplingPlanError(f"permutation count must be >= 1, got {self.permutations!r}")
-        if not isinstance(self.chunk_size, int) or not 1 <= self.chunk_size <= MAX_CHUNK_SIZE:
-            raise SamplingPlanError(f"chunk size must be in 1..{MAX_CHUNK_SIZE}, got {self.chunk_size!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise SamplingPlanError(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
+        _check_count(self.permutations, 1, math.inf, "permutation count must be >= 1")
+        _check_count(self.chunk_size, 1, MAX_CHUNK_SIZE + 1, f"chunk size must be in 1..{MAX_CHUNK_SIZE}")
+        _check_count(self.seed, 0, 2**64, "seed must be a 64-bit unsigned int")
 
 
 @dataclass(frozen=True)
@@ -287,7 +275,7 @@ def _evaluate(
     for k in range(keys.size):
         mask = int.from_bytes(masks[k * size : (k + 1) * size], "big")
         try:
-            table.values.append(parse_rational(oracle(Coalition(players, mask))).as_integer_ratio())
+            table.values.append(parse_pair(oracle(Coalition(players, mask))))
         except Exception as exc:
             raise OracleError(int(permutations[k]), exc) from exc
 
@@ -395,13 +383,11 @@ def sample_shapley(
     so it need not be thread-safe: chunk by chunk, on the coalitions the
     chunk needs that no earlier chunk did, in ascending mask order. If it
     raises, :class:`OracleError` names the first permutation of the
-    stream that needs the coalition it was asked for. Chunks are drawn,
-    counted and merged in index order on the calling thread, one at a
-    time. ``workers`` must be an int >= 1 and is otherwise ignored: it is
-    kept for callers that pass it, and the report does not depend on it.
+    stream that needs the coalition it was asked for. ``workers`` must be
+    an int >= 1 and is otherwise ignored: it is kept for callers that pass
+    it, and the report does not depend on it.
     """
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise SamplingPlanError(f"worker count must be an int >= 1, got {workers!r}")
+    _check_count(workers, 1, math.inf, "worker count must be an int >= 1")
     m = plan.permutations
     table = _StepTable()
     for chunk_index, chunk_start in enumerate(range(0, m, plan.chunk_size)):

@@ -34,6 +34,7 @@ canonicalized on parse, so permuted lists name the same coalition.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import deque
 from dataclasses import dataclass, field
@@ -45,8 +46,8 @@ from pathlib import Path
 from typing import Mapping
 
 from .adjust import MODES, AdjustmentFactors, compute_deltas
-from .ahp import ComparisonMatrix, CriteriaHierarchy, WeightVector, synthesize_factors
-from .errors import ChoiceError, IdentifierError, MatrixValidationError, NumberError, ScenarioError
+from .ahp import METHODS, ComparisonMatrix, CriteriaHierarchy, WeightVector, synthesize_factors
+from .errors import ChoiceError, FloatRangeError, IdentifierError, MatrixValidationError, NumberError, ScenarioError
 from .game import CharacteristicFunction, PlayerSet, ValueTable, _unique_labels
 from .rational import exact_string, parse_pair, plain_pairs, plain_ratios
 
@@ -69,7 +70,8 @@ class ScenarioFile:
     :class:`~chainshare.game.ValueTable`: Fractions keyed by coalition mask.
     The parser reads it a column at a time (every entry's members, then
     every value) when all entries are plain, and entry by entry otherwise;
-    both give the same integer pairs, or the same error.
+    both give the same integer pairs, or the same error. ``player_set`` is
+    built once, or kept from the parse that validated ``players``.
     """
 
     players: tuple[str, ...]
@@ -79,7 +81,7 @@ class ScenarioFile:
     normalize_factors: bool = False
     ahp: AhpBlock | None = None
 
-    @property
+    @functools.cached_property
     def player_set(self) -> PlayerSet:
         return PlayerSet(self.players)
 
@@ -92,7 +94,7 @@ def _at(locus: str, build, *args):
         raise ScenarioError(str(exc), locus) from None
 
 
-_BEYOND_FLOAT = "number beyond the float range (about 1.8e308); weights are computed in floats"
+_BEYOND_FLOAT = f"number {FloatRangeError.BEYOND}; weights are computed in floats"
 
 
 def _number_pair(raw) -> tuple[int, int]:
@@ -142,27 +144,28 @@ def _read_scores(read, values, players: tuple[str, ...], locus: str) -> tuple:
     return tuple(numbers)
 
 
-def _parse_players(doc: dict) -> tuple[str, ...]:
+def _parse_players(doc: dict) -> PlayerSet:
     players = doc.get("players")
     if players is None:
         raise ScenarioError("missing required field", "players")
     if not isinstance(players, list):
         raise ScenarioError("must be a non-empty list of identifiers", "players")
-    return _at("players", PlayerSet, tuple(players)).players
+    return _at("players", PlayerSet, tuple(players))
 
 
-def _parse_coalitions(doc: dict, players: tuple[str, ...]) -> ValueTable:
+def _parse_coalitions(doc: dict, players: PlayerSet | tuple[str, ...]) -> ValueTable:
     """The coalitions' values, read in columns when every entry is plain, else
-    entry by entry: one table or one error for a document either way."""
+    entry by entry: one table or one error for a document either way. Both
+    readers look names up in the player set's ``bits``."""
     coalitions = doc.get("coalitions")
     if coalitions is None:
         raise ScenarioError("missing required field", "coalitions")
     if not isinstance(coalitions, list) or not coalitions:
         raise ScenarioError("must be a non-empty list of {members, value} entries", "coalitions")
-    bits = {p: 1 << i for i, p in enumerate(players)}
-    table = _read_columns(coalitions, bits, len(players))
+    players = players if isinstance(players, PlayerSet) else PlayerSet(players)
+    table = _read_columns(coalitions, players.bits, players.n)
     if table is None:
-        table = _read_entries(coalitions, bits, players)
+        table = _read_entries(coalitions, players.bits, players.players)
     return table
 
 
@@ -209,29 +212,22 @@ def _read_columns(coalitions: list, bits: dict[str, int], n: int) -> ValueTable 
 
 
 def _read_entries(coalitions: list, bits: dict[str, int], players: tuple[str, ...]) -> ValueTable:
-    """The table, read one entry at a time: every value :func:`_number_pair`
-    accepts, and the first error in document order."""
+    """The table, read one entry at a time, each entry's members through
+    :meth:`ValueTable.mask_for`: the first error in document order, for a
+    document :func:`_read_columns` refuses."""
     table = ValueTable(len(players))
-    numerators, denominators = table.numerators, table.denominators
-    keys = {"members", "value"}
-    # Loci are built only to raise: this loop runs once per coalition.
-    try:  # around the loop, not per value: only the value's reader raises it
+    try:  # around the loop, not per entry: the locus is built only to raise
         for i, entry in enumerate(coalitions):
-            if not isinstance(entry, dict) or entry.keys() != keys:
+            if not isinstance(entry, dict) or entry.keys() != {"members", "value"}:
                 raise ScenarioError("each coalition needs exactly the keys 'members' and 'value'", f"coalitions[{i}]")
             members = entry["members"]
             if not isinstance(members, list):
                 raise ScenarioError("members must be a non-empty list", f"coalitions[{i}].members")
-            try:
-                mask = sum(map(bits.__getitem__, members))
-            except (KeyError, TypeError):  # an unknown or unhashable name
-                mask = 0
-            # no members, a bit added twice or one already given: the table's rule words why
-            if not mask or mask.bit_count() != len(members) or denominators[mask]:
-                mask = _at(f"coalitions[{i}].members", table.mask_for, PlayerSet(players), members)
-            numerators[mask], denominators[mask] = _number_pair(entry["value"])
-    except NumberError as exc:
-        raise ScenarioError(str(exc), f"coalitions[{i}].value") from None
+            mask = table.mask_for(bits, members)
+            table.numerators[mask], table.denominators[mask] = _number_pair(entry["value"])
+    except (IdentifierError, NumberError) as exc:
+        part = "members" if isinstance(exc, IdentifierError) else "value"
+        raise ScenarioError(str(exc), f"coalitions[{i}].{part}") from None
     return table
 
 
@@ -296,8 +292,9 @@ def parse_scenario(text: str) -> ScenarioFile:
     unknown = set(doc) - {"players", "coalitions", "factors", "mode", "normalize_factors", "ahp"}
     if unknown:
         raise ScenarioError(f"unknown keys {sorted(unknown)}", "document")
-    players = _parse_players(doc)
-    values = _parse_coalitions(doc, players)
+    player_set = _parse_players(doc)
+    players = player_set.players
+    values = _parse_coalitions(doc, player_set)
 
     factors = None
     raw_factors = doc.get("factors")
@@ -323,7 +320,7 @@ def parse_scenario(text: str) -> ScenarioFile:
     if factors is not None and ahp is not None:
         raise ScenarioError("at most one of 'factors' and 'ahp' may be present", "document")
 
-    return ScenarioFile(
+    sf = ScenarioFile(
         players=players,
         coalition_values=values,
         factors=factors,
@@ -331,6 +328,8 @@ def parse_scenario(text: str) -> ScenarioFile:
         normalize_factors=normalize,
         ahp=ahp,
     )
+    object.__setattr__(sf, "player_set", player_set)  # kept, not built again on first access
+    return sf
 
 
 def load_scenario(path: str | Path) -> ScenarioFile:
@@ -349,13 +348,11 @@ def serialize_scenario(sf: ScenarioFile) -> str:
     player order, numbers rendered exactly (decimal when finite, "p/q"
     otherwise). parse(serialize(sf)) == sf.
     """
-    def members_of(mask: int) -> list[str]:
-        return [p for i, p in enumerate(sf.players) if mask >> i & 1]
-
+    members = sf.player_set.members
     doc: dict = {
         "players": list(sf.players),
         "coalitions": [
-            {"members": members_of(mask), "value": exact_string(sf.coalition_values[mask])}
+            {"members": members(mask), "value": exact_string(sf.coalition_values[mask])}
             for mask in sorted(sf.coalition_values, key=lambda m: (m.bit_count(), m))
         ],
     }
@@ -389,7 +386,7 @@ def scenario_game(sf: ScenarioFile) -> CharacteristicFunction:
     return CharacteristicFunction(sf.player_set, sf.coalition_values)
 
 
-def scenario_hierarchy(sf: ScenarioFile, *, method: str = "power") -> CriteriaHierarchy:
+def scenario_hierarchy(sf: ScenarioFile, *, method: str = METHODS[0]) -> CriteriaHierarchy:
     """Build the criteria hierarchy from a scenario's ahp block."""
     if sf.ahp is None:
         raise ScenarioError("scenario has no 'ahp' section", "ahp")

@@ -342,6 +342,13 @@ def test_all_zero_factors_with_normalize_exits_one(tmp_path, capsys):
     assert_one_error_line(*run(capsys, "allocate", path), "sum to zero")
 
 
+def test_a_factor_sum_error_names_the_flag_that_rescales(tmp_path, capsys):
+    path = write_scenario(tmp_path, ["A", "B"], factors={"A": "0.7", "B": "0.5"})
+    assert_one_error_line(*run(capsys, "allocate", path), "sum to 1.200000", "--normalize")
+    code, out, err = run(capsys, "allocate", path, "--normalize", "--format", "csv")
+    assert code == 0 and err == "" and out.startswith("player,classical,adjusted")
+
+
 def test_score_map_not_summing_to_one_exits_one(tmp_path, capsys):
     path = write_scenario(tmp_path, ["A", "B", "C"], ahp={
         "criteria": ["R1"],

@@ -78,3 +78,16 @@ def test_a_worker_count_is_an_int_of_at_least_one(workers):
     # 1.5 once passed the >= 1 check, and "2" and None raised a bare TypeError
     with pytest.raises(errors.SamplingPlanError, match="worker count"):
         sample_shapley(GAME, GAME.player_set, SamplingPlan(5, seed=0), workers=workers)
+
+
+@pytest.mark.parametrize("fields, rule", [
+    (dict(permutations=True, seed=True, chunk_size=True), "permutation count"),
+    (dict(permutations=True, seed=0), "permutation count"),
+    (dict(permutations=5, seed=True), "seed"),
+    (dict(permutations=5, seed=False), "seed"),
+    (dict(permutations=5, seed=0, chunk_size=True), "chunk size"),
+])
+def test_a_plan_count_is_an_int_never_a_bool(fields, rule):
+    # each of these once passed the plan, and sample_shapley then raised a bare TypeError
+    with pytest.raises(errors.SamplingPlanError, match=rule):
+        SamplingPlan(**fields)

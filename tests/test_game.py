@@ -256,6 +256,15 @@ def test_player_set_validation():
         ps.index("Z")
 
 
+@pytest.mark.parametrize("name", [["A"], {"A": 1}, 1])
+def test_a_name_no_player_can_be_is_an_unknown_player(name):
+    ps = PlayerSet(("A", "B"))
+    for call in (ps.index, lambda name: ps.coalition([name])):
+        with pytest.raises(IdentifierError) as err:
+            call(name)
+        assert str(err.value) == f"unknown player {name!r}"
+
+
 def test_coalition_basics():
     ps = PlayerSet(("A", "B", "C"))
     c = ps.coalition(["C", "A"])

@@ -430,6 +430,15 @@ def test_unhashable_member_names_its_coalition():
     assert locus_of(err) == "coalitions[0].members"
 
 
+def test_a_scenario_keeps_one_player_set():
+    parsed = parse_scenario(doc())
+    assert parsed.player_set is parsed.player_set
+    assert scenario_game(parsed).player_set is parsed.player_set
+    built = ScenarioFile(players=("A", "B"), coalition_values={1: Fraction(1), 2: Fraction(2), 3: Fraction(4)})
+    assert built.player_set is built.player_set
+    assert built.player_set.players == ("A", "B")
+
+
 def test_deep_nesting_is_a_document_error():
     with pytest.raises(ScenarioError, match="recursion") as err:
         parse_scenario("[" * 100_000)
