@@ -7,11 +7,13 @@ chunks; chunk c draws its permutations from an RNG stream derived from
 
 One pass serves every game width, on the caller's thread, one chunk at a
 time: :func:`_count_steps` counts a chunk's distinct (prefix, player)
-steps, :func:`_merge_steps` merges them in chunk order into the run's
-:class:`_StepTable`, and :func:`_evaluate` asks the oracle once per
-coalition new to the run, in ascending mask order; no step is probed one
-by one in Python. :func:`_marginal_sums` sums each player's marginals as
-integers per denominator, and only those sums become Fractions. The sums
+steps, and :func:`_merge_chunk` finds the chunk's coalitions in the run's
+one coalition table, has :func:`_evaluate` ask the oracle once per
+coalition new to the run, in ascending mask order, and gives each step
+the values of its two coalitions; no step is probed one by one in Python.
+:func:`_sum_block` adds the steps' marginals to each player's integer
+sums per denominator, and only those sums become Fractions. A run keeps
+its coalitions, their answers and these sums, not its steps. The sums
 are exact, so the estimates always sum to v(N) - v(empty), an equality,
 not a tolerance.
 """
@@ -41,8 +43,9 @@ MAX_CHUNK_SIZE = 65_536
 # An int64 holds every magnitude below 2**63.
 _INT64_BITS = 63
 
-# Steps whose marginals are summed at a time, so the sums' temporaries peak
-# near fifteen columns of this size, in int64 or Python ints of any size.
+# Steps whose marginals are summed at a time: counted steps wait until this
+# many are due, and the sums' temporaries peak near fifteen columns of this
+# size, in int64 or Python ints of any size.
 _SUM_BLOCK = 8192
 
 
@@ -188,7 +191,8 @@ class _SortedKeys:
     most twice the size of the last. Each array is then more than twice
     the next, so N keys lie in at most log2(N) + 1 arrays and a key is
     copied O(log N) times, where inserting each batch into one sorted
-    array would copy the whole table per batch.
+    array would copy the whole table per batch. Merged columns take the
+    wider of their two dtypes.
     """
 
     def __init__(self):
@@ -217,67 +221,52 @@ class _SortedKeys:
         while len(self.arrays) > 1 and self.arrays[-2][0].size <= 2 * self.arrays[-1][0].size:
             new, old = self.arrays.pop(), self.arrays.pop()
             at = np.searchsorted(old[0], new[0])
-            self.arrays.append(tuple(np.insert(a, at, b) for a, b in zip(old, new)))
+            self.arrays.append(tuple(np.insert(a.astype(np.result_type(a, b), copy=False), at, b) for a, b in zip(old, new)))
 
 
-class _StepTable:
-    """A run's coalitions, the oracle's answers for them, and its counted steps.
+def _bits(column: np.ndarray) -> int:
+    """The bit length of the largest magnitude in ``column``, taken on Python ints, so -2**63 is 64 bits."""
+    return max(int(column.max()), -int(column.min())).bit_length()
 
-    ``values`` holds the oracle's answers as (numerator, denominator)
-    pairs in the order it gave them; a coalition's slot is its index
-    there. ``coalitions`` maps coalition keys to slots. A step's key is
-    its prefix's slot times n plus its player, and ``steps`` maps it to
-    its count and to the slot of its prefix plus player.
+
+def _evaluate(oracle: Callable, players: PlayerSet, keys: np.ndarray, permutations: np.ndarray):
+    """The oracle's answers for the coalitions of ``keys``, asked in that order.
+
+    Returns a numerator and a denominator column, int64 where every
+    answer fits and Python ints otherwise. A failure names the answer's
+    entry of ``permutations``.
     """
-
-    def __init__(self):
-        self.coalitions = _SortedKeys()
-        self.steps = _SortedKeys()
-        self.values: list[tuple[int, int]] = []
-
-
-def _merge_steps(
-    table: _StepTable, players: PlayerSet, chunk_start: int, counted: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge a chunk's counted steps into the run's step table.
-
-    Steps already in the table add their counts in place; new steps are
-    added with theirs. The chunk's coalitions the run has not seen are
-    due to the oracle in ascending mask order, and their slots in
-    ``table.values`` are reserved in that order. Returns their keys, in
-    that order, and for each the permutation an oracle failure names: the
-    first one of the stream that needs it. The oracle is left to
-    :func:`_evaluate`, so the chunk's arrays are freed before it runs.
-    """
-    coalitions, needed_by, counts, step_players, joined, prefix = counted
-    found, due = table.coalitions.match(coalitions)
-    slots = np.empty(coalitions.size, np.int64)
-    for (_, held), where, at in found:
-        slots[where] = held[at]
-    slots[due] = np.arange(len(table.values), len(table.values) + due.size)
-    if due.size:
-        table.coalitions.add(coalitions[due], slots[due])
-    keys = slots[prefix] * players.n + step_players
-    found, new = table.steps.match(keys)
-    for (_, held, _), where, at in found:
-        held[at] += counts[where]
-    if new.size:
-        new = new[np.argsort(keys[new])]
-        table.steps.add(keys[new], counts[new], slots[joined[new]])
-    return coalitions[due], needed_by[due] + chunk_start
-
-
-def _evaluate(
-    table: _StepTable, oracle: Callable, players: PlayerSet, keys: np.ndarray, permutations: np.ndarray
-) -> None:
-    """Ask the oracle for each coalition of ``keys``, appending the answers to ``table.values``."""
+    num, den = np.empty(keys.size, object), np.empty(keys.size, object)
     masks, size = keys.tobytes(), keys.itemsize
     for k in range(keys.size):
         mask = int.from_bytes(masks[k * size : (k + 1) * size], "big")
         try:
-            table.values.append(parse_pair(oracle(Coalition(players, mask))))
+            num[k], den[k] = parse_pair(oracle(Coalition(players, mask)))
         except Exception as exc:
             raise OracleError(int(permutations[k]), exc) from exc
+    return tuple(c.astype(np.int64) if _bits(c) <= _INT64_BITS else c for c in (num, den))
+
+
+def _merge_chunk(table: _SortedKeys, oracle: Callable, players: PlayerSet, chunk_start: int, counted):
+    """Add a chunk's new coalitions to the run's table, and give its steps their values.
+
+    The chunk's coalitions the table does not hold go to the oracle in
+    ascending mask order, and a failure names the first permutation of
+    the stream that needs the coalition. Returns, for each of the chunk's
+    distinct steps, its count, its player, and the numerator and
+    denominator of its prefix plus player and of its prefix.
+    """
+    coalitions, needed_by, counts, step_players, joined, prefix = counted
+    found, due = table.match(coalitions)
+    held = [(columns, where, at) for (_, *columns), where, at in found]
+    if due.size:
+        new = _evaluate(oracle, players, coalitions[due], needed_by[due] + chunk_start)
+        table.add(coalitions[due], *new)
+        held.append((new, due, slice(None)))
+    num, den = (np.empty(coalitions.size, np.result_type(*(columns[c] for columns, _, _ in held))) for c in (0, 1))
+    for (held_num, held_den), where, at in held:
+        num[where], den[where] = held_num[at], held_den[at]
+    return counts, step_players, num[joined], den[joined], num[prefix], den[prefix]
 
 
 def _pairwise_sum(terms: list[Fraction]) -> Fraction:
@@ -307,8 +296,8 @@ def _std_error(variance: Fraction, player: str) -> float:
         raise FloatRangeError(f"standard error of {player!r}") from None
 
 
-def _marginal_sums(table: _StepTable, n: int, m: int) -> list[dict[int, list[int]]]:
-    """For each player, its steps' sums of c*k and c*k*k, keyed by denominator d.
+def _sum_block(sums: list[dict[int, list[int]]], n: int, m: int, counts, player, a, a_den, b, b_den) -> None:
+    """Add a block of steps' c*k and c*k*k to ``sums``, per player and denominator d.
 
     A step counted c times, whose prefix plus player is worth a/a_den and
     whose prefix is worth b/b_den, has the marginal k/d, where d is the lcm
@@ -316,55 +305,46 @@ def _marginal_sums(table: _StepTable, n: int, m: int) -> list[dict[int, list[int
     are grouped by one sort of d*n + player, and each group's sums are
     taken by ``np.add.reduceat``, so Python steps once per group.
 
-    The columns are int64 when the values' bit lengths bound every key, k
-    and group sum below 2**63: a player's counts add up to m, and c*k*k is
-    summed in three products of two limbs of |k|, each limb below
+    The columns are int64 when the block's bit lengths bound every key, k
+    and group sum below 2**63: a player's counts add up to at most m, and
+    c*k*k is summed in three products of two limbs of |k|, each limb below
     2**half. Past that bound the same expressions run on Python ints.
-    Either way the steps are taken ``_SUM_BLOCK`` at a time.
     """
-    numerators, denominators = zip(*table.values)
-    num_bits = max(max(numerators), -min(numerators)).bit_length()
-    den_bits = max(denominators).bit_length()
+    num_bits = max(_bits(a), _bits(b))
+    den_bits = int(max(a_den.max(), b_den.max())).bit_length()
     half = (num_bits + den_bits + 2) // 2  # |k| < 2**(num_bits + den_bits + 1) <= 2**(2 * half)
     # d < 2**(2 * den_bits), and a sum over c is at most m times its largest term
     fits = 2 * den_bits + n.bit_length() <= _INT64_BITS and m.bit_length() + 2 * half <= _INT64_BITS
-    dtype = np.int64 if fits else object
-    num = np.fromiter(numerators, dtype, len(numerators))
-    den = np.fromiter(denominators, dtype, len(denominators))
-    keys, counts, joined = (np.concatenate(column) for column in zip(*table.steps.arrays))
-    sums: list[dict[int, list[int]]] = [{} for _ in range(n)]
-    for start in range(0, keys.size, _SUM_BLOCK):
-        block = slice(start, start + _SUM_BLOCK)
-        before, player = np.divmod(keys[block], n)
-        after = joined[block]
-        d = np.lcm(den[after], den[before])
-        k = num[after] * (d // den[after]) - num[before] * (d // den[before])
-        key = d * n + player
-        order = np.argsort(key)
-        key, k, c = key[order], k[order], counts[block][order]
-        new = np.empty(key.size, bool)
-        new[0] = True
-        np.not_equal(key[1:], key[:-1], out=new[1:])
-        groups = np.flatnonzero(new)
-        ck = c * k
-        totals = np.add.reduceat(ck, groups).tolist()
-        if fits:  # k*k = (high * 2**half + low)**2
-            k = np.abs(k)
-            high, low = k >> half, k & ((1 << half) - 1)
-            limbs = ((high, high), (high, low), (low, low))
-            hh, hl, ll = (np.add.reduceat(c * x * y, groups).tolist() for x, y in limbs)
-            squares = [(x << 2 * half) + (y << (half + 1)) + z for x, y, z in zip(hh, hl, ll)]
+    a, a_den, b, b_den = (x.astype(np.int64 if fits else object, copy=False) for x in (a, a_den, b, b_den))
+    g = np.gcd(a_den, b_den)
+    a_scale, b_scale = b_den // g, a_den // g  # d // a_den and d // b_den
+    d = a_den * a_scale
+    k = a * a_scale - b * b_scale
+    key = d * n + player
+    order = np.argsort(key)
+    key, k, c = key[order], k[order], counts[order]
+    new = np.empty(key.size, bool)
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    groups = np.flatnonzero(new)
+    ck = c * k
+    totals = np.add.reduceat(ck, groups).tolist()
+    if fits:  # k*k = (high * 2**half + low)**2
+        k = np.abs(k)  # |k| < 2**62, so the absolute value does not wrap
+        high, low = k >> half, k & ((1 << half) - 1)
+        limbs = ((high, high), (high, low), (low, low))
+        hh, hl, ll = (np.add.reduceat(c * x * y, groups).tolist() for x, y in limbs)
+        squares = [(x << 2 * half) + (y << (half + 1)) + z for x, y, z in zip(hh, hl, ll)]
+    else:
+        squares = np.add.reduceat(ck * k, groups).tolist()
+    for group, t, sq in zip(key[groups].tolist(), totals, squares):
+        d, player = divmod(group, n)
+        entry = sums[player].get(d)
+        if entry is None:
+            sums[player][d] = [t, sq]
         else:
-            squares = np.add.reduceat(ck * k, groups).tolist()
-        for group, t, sq in zip(key[groups].tolist(), totals, squares):
-            d, player = divmod(group, n)
-            entry = sums[player].get(d)
-            if entry is None:
-                sums[player][d] = [t, sq]
-            else:
-                entry[0] += t
-                entry[1] += sq
-    return sums
+            entry[0] += t
+            entry[1] += sq
 
 
 def sample_shapley(
@@ -388,16 +368,24 @@ def sample_shapley(
     it, and the report does not depend on it.
     """
     _check_count(workers, 1, math.inf, "worker count must be an int >= 1")
-    m = plan.permutations
-    table = _StepTable()
-    for chunk_index, chunk_start in enumerate(range(0, m, plan.chunk_size)):
-        count = min(plan.chunk_size, m - chunk_start)
-        due = _merge_steps(table, players, chunk_start, _count_steps(players.n, plan.seed, chunk_index, count))
-        _evaluate(table, oracle, players, *due)
+    n, m = players.n, plan.permutations
+    table = _SortedKeys()
     # Sums are kept per denominator, not over one lcm of the whole table:
     # with a distinct prime denominator per coalition that lcm makes every
     # marginal an int of thousands of digits.
-    sums = _marginal_sums(table, players.n, m)
+    sums: list[dict[int, list[int]]] = [{} for _ in range(n)]
+    waiting: list[tuple] = []
+    for chunk_index, chunk_start in enumerate(range(0, m, plan.chunk_size)):
+        count = min(plan.chunk_size, m - chunk_start)
+        counted = _count_steps(n, plan.seed, chunk_index, count)
+        waiting.append(_merge_chunk(table, oracle, players, chunk_start, counted))
+        # counted steps wait until a block is due, then go in the fewest blocks of at most _SUM_BLOCK
+        if sum(steps[0].size for steps in waiting) >= _SUM_BLOCK or chunk_start + count == m:
+            columns = [np.concatenate(column) for column in zip(*waiting)]
+            blocks = -(-columns[0].size // _SUM_BLOCK)
+            for block in zip(*(np.array_split(column, blocks) for column in columns)):
+                _sum_block(sums, n, m, *block)
+            waiting.clear()
     totals = [_pairwise_sum([Fraction(t, d) for d, (t, _) in by_den.items()]) for by_den in sums]
     squares = [_pairwise_sum([Fraction(sq, d * d) for d, (_, sq) in by_den.items()]) for by_den in sums]
     return EstimateReport(

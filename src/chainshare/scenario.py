@@ -153,7 +153,7 @@ def _parse_players(doc: dict) -> PlayerSet:
     return _at("players", PlayerSet, tuple(players))
 
 
-def _parse_coalitions(doc: dict, players: PlayerSet | tuple[str, ...]) -> ValueTable:
+def _parse_coalitions(doc: dict, players: PlayerSet) -> ValueTable:
     """The coalitions' values, read in columns when every entry is plain, else
     entry by entry: one table or one error for a document either way. Both
     readers look names up in the player set's ``bits``."""
@@ -162,10 +162,9 @@ def _parse_coalitions(doc: dict, players: PlayerSet | tuple[str, ...]) -> ValueT
         raise ScenarioError("missing required field", "coalitions")
     if not isinstance(coalitions, list) or not coalitions:
         raise ScenarioError("must be a non-empty list of {members, value} entries", "coalitions")
-    players = players if isinstance(players, PlayerSet) else PlayerSet(players)
     table = _read_columns(coalitions, players.bits, players.n)
     if table is None:
-        table = _read_entries(coalitions, players.bits, players.players)
+        table = _read_entries(coalitions, players.bits, players.n)
     return table
 
 
@@ -211,11 +210,11 @@ def _read_columns(coalitions: list, bits: dict[str, int], n: int) -> ValueTable 
     return table
 
 
-def _read_entries(coalitions: list, bits: dict[str, int], players: tuple[str, ...]) -> ValueTable:
+def _read_entries(coalitions: list, bits: dict[str, int], n: int) -> ValueTable:
     """The table, read one entry at a time, each entry's members through
     :meth:`ValueTable.mask_for`: the first error in document order, for a
     document :func:`_read_columns` refuses."""
-    table = ValueTable(len(players))
+    table = ValueTable(n)
     try:  # around the loop, not per entry: the locus is built only to raise
         for i, entry in enumerate(coalitions):
             if not isinstance(entry, dict) or entry.keys() != {"members", "value"}:

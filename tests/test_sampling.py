@@ -217,10 +217,27 @@ def test_marginal_sums_stay_exact_past_int64(bits, permutations):
 
 @pytest.mark.parametrize("scale", [1, 2**62 + 1], ids=["int64", "python-ints"])
 def test_marginal_sums_merge_across_blocks(monkeypatch, scale):
-    # eleven denominators, so each (player, d) group spans many blocks of 7 steps
-    monkeypatch.setattr(sampling, "_SUM_BLOCK", 7)
-    plan = SamplingPlan(200, seed=3, chunk_size=64)
-    _assert_matches_reference(5, plan, lambda mask: scale * _mixing_value(mask), workers=(1,))
+    # Eleven denominators, so each (player, d) group spans many blocks. Chunks
+    # of 64 permutations fill several blocks of 7 steps each. Chunks of 3
+    # have at most 15 steps, so they wait until 50 are due and are then
+    # summed in blocks that each hold steps of several chunks, before the
+    # run ends.
+    blocks = []
+    sum_block = sampling._sum_block
+
+    def spy(sums, n, m, counts, *columns):
+        blocks.append(counts.size)
+        sum_block(sums, n, m, counts, *columns)
+
+    monkeypatch.setattr(sampling, "_sum_block", spy)
+    for block, chunk_size in ((7, 64), (50, 3)):
+        monkeypatch.setattr(sampling, "_SUM_BLOCK", block)
+        blocks.clear()
+        plan = SamplingPlan(200, seed=3, chunk_size=chunk_size)
+        _assert_matches_reference(5, plan, lambda mask: scale * _mixing_value(mask), workers=(1,))
+        assert len(blocks) > 2 and max(blocks) <= block
+        if chunk_size == 3:
+            assert min(blocks[:-1]) > 15
 
 
 @pytest.mark.parametrize("permutations", [2**13 - 1, 2**13])
@@ -340,47 +357,67 @@ def test_oracle_failure_names_the_permutation_of_the_asking_step(n, permutations
 @pytest.mark.parametrize("workers", [1, 3])
 @STREAM_CASES
 def test_step_table_holds_each_step_once(monkeypatch, n, permutations, chunk_size, workers):
-    tables = []
-    merge = sampling._merge_steps
+    # a chunk's counted steps are its step table; the run sums them and keeps none
+    chunks = []
+    count_steps = sampling._count_steps
 
-    def spy(table, *args):
-        tables.append(table)
-        return merge(table, *args)
+    def spy(*args):
+        chunks.append(count_steps(*args))
+        return chunks[-1]
 
-    monkeypatch.setattr(sampling, "_merge_steps", spy)
+    monkeypatch.setattr(sampling, "_count_steps", spy)
     plan = SamplingPlan(permutations, seed=60 + n, chunk_size=chunk_size)
     players = PlayerSet(tuple(f"p{i}" for i in range(n)))
     sample_shapley(lambda c: _mixing_value(c.mask), players, plan, workers=workers)
-    table = tables[-1]
-    masks = {}
-    for keys, slots in table.coalitions.arrays:
-        level = [int.from_bytes(key, "big") for key in keys.tolist()]
-        assert level == sorted(set(level))
-        masks.update(zip(slots.tolist(), level))
-    assert sorted(masks) == list(range(len(table.values)))
-    assert len(set(masks.values())) == len(masks)
-    assert len(table.coalitions.arrays) <= len(masks).bit_length()
-    values = [Fraction(*value) for value in table.values]
-    assert [values[slot] for slot in masks] == [_mixing_value(mask) for mask in masks.values()]
-    keys, counts, joined = [], [], []
-    for level in table.steps.arrays:
-        assert level[0].tolist() == sorted(set(level[0].tolist()))
-        for column, part in zip((keys, counts, joined), level):
-            column += part.tolist()
-    assert len(table.steps.arrays) <= len(keys).bit_length()
-    # a step's key is its prefix's slot times n plus its player
-    steps = [(masks[key // n], key % n) for key in keys]
-    expected = Counter()
-    for _, orders in _stream(n, plan):
+    stream = list(_stream(n, plan))
+    assert len(chunks) == len(stream)
+    for (_, orders), (coalitions, _, counts, step_players, joined, prefix) in zip(stream, chunks):
+        masks = [int.from_bytes(key, "big") for key in coalitions.tolist()]
+        assert masks == sorted(set(masks))
+        steps = [(masks[p], player) for p, player in zip(prefix.tolist(), step_players.tolist())]
+        expected = Counter()
         for order in orders:
             mask = 0
             for player in order:
                 expected[mask, player] += 1
                 mask |= 1 << player
-    assert sorted(steps) == sorted(expected)
-    assert counts == [expected[step] for step in steps]
-    assert sum(counts) == permutations * n
-    assert [values[k] for k in joined] == [_mixing_value(m | 1 << p) for m, p in steps]
+        assert steps == sorted(expected)
+        assert counts.tolist() == [expected[step] for step in steps]
+        assert [masks[j] for j in joined.tolist()] == [m | 1 << p for m, p in steps]
+    assert sum(int(chunk[2].sum()) for chunk in chunks) == permutations * n
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@STREAM_CASES
+def test_a_run_keeps_one_coalition_table(monkeypatch, n, permutations, chunk_size, workers):
+    added = []
+    add = sampling._SortedKeys.add
+
+    def spy(table, keys, *columns):
+        added.append((table, [int.from_bytes(key, "big") for key in keys.tolist()]))
+        add(table, keys, *columns)
+
+    monkeypatch.setattr(sampling._SortedKeys, "add", spy)
+    answered = []
+
+    def oracle(coalition):
+        answered.append(coalition.mask)
+        return _mixing_value(coalition.mask)
+
+    plan = SamplingPlan(permutations, seed=60 + n, chunk_size=chunk_size)
+    sample_shapley(oracle, PlayerSet(tuple(f"p{i}" for i in range(n))), plan, workers=workers)
+    # every key the run adds is a coalition the oracle answered, added once, to one table
+    assert len({id(table) for table, _ in added}) == 1
+    assert sorted(mask for _, keys in added for mask in keys) == sorted(set(answered)) == sorted(answered)
+    table = added[0][0]
+    stored = {}
+    for keys, numerators, denominators in table.arrays:
+        level = [int.from_bytes(key, "big") for key in keys.tolist()]
+        assert level == sorted(set(level))
+        stored.update(zip(level, map(Fraction, numerators.tolist(), denominators.tolist())))
+    assert sum(keys.size for keys, *_ in table.arrays) == len(stored) == len(answered)
+    assert len(table.arrays) <= len(stored).bit_length()
+    assert stored == {mask: _mixing_value(mask) for mask in answered}
 
 
 def test_step_keys_past_16_bits_follow_the_documented_stream():
@@ -444,6 +481,33 @@ def test_sorted_keys_stay_in_few_arrays():
     for (_, tens), where, at in found:
         assert (tens[at] == keys[where] * 10).all()
     assert sorted(k for a, _ in table.arrays for k in a.tolist()) == list(range(20_100))
+
+
+def test_sorted_keys_widen_a_merged_column():
+    table = sampling._SortedKeys()
+    table.add(np.array([1, 3]), np.array([10, 30]))
+    table.add(np.array([2]), np.array([2**70], object))
+    ((keys, values),) = table.arrays
+    assert keys.tolist() == [1, 2, 3]
+    assert values.tolist() == [10, 2**70, 30]
+
+
+def test_answers_past_int64_after_chunks_of_int64_answers():
+    # the first chunk's answers fit int64 and later ones do not, so the table
+    # holds int64 and Python-int columns and merges them
+    n, plan = 5, SamplingPlan(60, seed=9, chunk_size=3)
+    first = set()
+    for order in next(_stream(n, plan))[1]:
+        mask = 0
+        for player in order:
+            first.add(mask)
+            mask |= 1 << player
+    first.add(mask)
+
+    def value(mask):
+        return _mixing_value(mask) * (1 if mask in first else 2**64)
+
+    _assert_matches_reference(n, plan, value, workers=(1,))
 
 
 def test_wide_game_beyond_mask_width():

@@ -590,13 +590,13 @@ def _table_or_error(read, coalitions: list) -> tuple:
 @example(case=(("A", "B"), [{"members": ["A", "B"], "value": "1"}, {"members": ["B", "A"], "value": "2"}]))
 @example(case=(("A", "B"), [{"members": ["A"], "value": "1\n2"}, {"members": ["B"], "value": "+1"}]))
 def test_the_column_reader_reads_what_the_entry_reader_reads(case):
-    players, coalitions = case
-    bits = {p: 1 << i for i, p in enumerate(players)}
-    expected = _table_or_error(lambda cs: scenario_module._read_entries(cs, bits, players), coalitions)
+    names, coalitions = case
+    players = PlayerSet(names)
+    expected = _table_or_error(lambda cs: scenario_module._read_entries(cs, players.bits, players.n), coalitions)
     got = _table_or_error(lambda cs: scenario_module._parse_coalitions({"coalitions": cs}, players), coalitions)
     assert got == expected
     columns = copy.deepcopy(coalitions)
-    table = scenario_module._read_columns(columns, bits, len(players))
+    table = scenario_module._read_columns(columns, players.bits, players.n)
     if table is None:
         assert columns == coalitions  # left whole for the entry reader
     else:
