@@ -46,8 +46,11 @@ def _unique_labels(labels: Iterable[str], what: str) -> tuple[str, ...]:
     return out
 
 
-def _mask_of(bits: Mapping[str, int], members: Iterable[str]) -> int:
-    """The mask of ``members`` by a player set's ``bits``: every name a known player, none repeated."""
+def _mask_of(bits: Mapping[str, int], members: Iterable[str] | str) -> int:
+    """The mask of ``members`` by a player set's ``bits``: every name a known
+    player, none repeated. A bare string names one player."""
+    if isinstance(members, str):
+        members = (members,)
     mask = 0
     for name in members:
         try:
@@ -79,8 +82,9 @@ class PlayerSet:
     def index(self, player: str) -> int:
         return _mask_of(self.bits, (player,)).bit_length() - 1
 
-    def coalition(self, members: Iterable[str]) -> Coalition:
-        """The coalition of ``members``: every name a known player, none repeated."""
+    def coalition(self, members: Iterable[str] | str) -> Coalition:
+        """The coalition of ``members``: every name a known player, none
+        repeated. A bare string names one player."""
         return Coalition(self, _mask_of(self.bits, members))
 
     def members(self, mask: int) -> tuple[str, ...]:
@@ -100,12 +104,14 @@ class PlayerSet:
 
 @dataclass(frozen=True)
 class Coalition:
-    """A subset of a player set, stored as a bit-vector."""
+    """A subset of a player set, stored as a bit-vector: an int, not a bool, below 2**n."""
 
     player_set: PlayerSet
     mask: int
 
     def __post_init__(self):
+        if isinstance(self.mask, bool):
+            raise InputTypeError(f"a coalition mask is an int, not a bool, got {self.mask!r}")
         if not 0 <= self.mask < (1 << self.player_set.n):
             raise IdentifierError(f"coalition mask {self.mask:#x} out of range for {self.player_set.n} players")
 
@@ -202,15 +208,23 @@ class ValueTable(Mapping[int, Fraction]):
     def __repr__(self) -> str:
         return f"ValueTable({dict(self)!r})"
 
+    def pairs(self, masks: list[int]) -> tuple[list[int], list[int]]:
+        """The numerators and the denominators under ``masks``, in order, read in
+        bulk as they are held (maybe not in lowest terms, and (0, 1) for the
+        empty coalition of a table over every mask)."""
+        return list(map(self.numerators.__getitem__, masks)), list(map(self.denominators.__getitem__, masks))
+
     def mask_for(self, bits: Mapping[str, int], members) -> int:
         """The mask under which ``members`` take a value here, by a
-        :class:`PlayerSet`'s ``bits``: a non-empty list of known players,
-        none repeated, naming a coalition that holds no value yet."""
+        :class:`PlayerSet`'s ``bits``: a non-empty list of known players
+        (or one name), none repeated, naming a coalition that holds no
+        value yet."""
         if not members:
             raise IdentifierError("members must be a non-empty list")
         mask = _mask_of(bits, members)
         if self.denominators[mask]:
-            raise IdentifierError("duplicate coalition {" + ", ".join(sorted(members)) + "}")
+            named = sorted(name for name, bit in bits.items() if mask & bit)
+            raise IdentifierError("duplicate coalition {" + ", ".join(named) + "}")
         return mask
 
     def scaled(self) -> tuple[list[int], int]:
@@ -294,7 +308,7 @@ class CharacteristicFunction:
         player_set = players if isinstance(players, PlayerSet) else PlayerSet(tuple(players))
         table = ValueTable(player_set.n)
         for members, value in values.items():
-            mask = table.mask_for(player_set.bits, (members,) if isinstance(members, str) else tuple(members))
+            mask = table.mask_for(player_set.bits, members)
             table.numerators[mask], table.denominators[mask] = parse_pair(value)
         return cls(player_set, table)
 
@@ -306,16 +320,15 @@ class CharacteristicFunction:
     def grand_value(self) -> Fraction:
         return self.values[(1 << self.n) - 1]
 
-    def __call__(self, coalition: Coalition | int | Iterable[str]) -> Fraction:
-        if isinstance(coalition, Coalition):
-            mask = coalition.mask
-        elif isinstance(coalition, int):
-            mask = coalition
-        else:
-            mask = self.player_set.coalition(coalition).mask
-        if mask == 0:
+    def __call__(self, coalition: Coalition | int | Iterable[str] | str) -> Fraction:
+        """v(coalition), of a Coalition, a mask by the Coalition rule, or names as PlayerSet.coalition reads them."""
+        if isinstance(coalition, int):
+            coalition = Coalition(self.player_set, coalition)
+        elif not isinstance(coalition, Coalition):
+            coalition = self.player_set.coalition(coalition)
+        if coalition.mask == 0:
             return Fraction(0)
-        return self.values[mask]
+        return self.values[coalition.mask]
 
 
 @dataclass(frozen=True)

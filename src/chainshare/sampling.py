@@ -8,9 +8,11 @@ chunks; chunk c draws its permutations from an RNG stream derived from
 One pass serves every game width, on the caller's thread, one chunk at a
 time: :func:`_count_steps` counts a chunk's distinct (prefix, player)
 steps, and :func:`_merge_chunk` finds the chunk's coalitions in the run's
-one coalition table, has :func:`_evaluate` ask the oracle once per
-coalition new to the run, in ascending mask order, and gives each step
-the values of its two coalitions; no step is probed one by one in Python.
+one coalition table, has :func:`_evaluate` answer the coalitions new to
+the run, and gives each step the values of its two coalitions; no step
+is probed one by one in Python. A :class:`CharacteristicFunction`'s
+answers are read from its value table in one bulk read per chunk; any
+other oracle is asked once per new coalition, in ascending mask order.
 :func:`_sum_block` adds the steps' marginals to each player's integer
 sums per denominator, and only those sums become Fractions. A run keeps
 its coalitions, their answers and these sums, not its steps. The sums
@@ -28,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FloatRangeError, OracleError, SamplingPlanError
-from .game import Coalition, PlayerSet
+from .game import CharacteristicFunction, Coalition, PlayerSet
 from .rational import parse_pair
 
 _WORD_BITS = 64
@@ -230,31 +232,39 @@ def _bits(column: np.ndarray) -> int:
 
 
 def _evaluate(oracle: Callable, players: PlayerSet, keys: np.ndarray, permutations: np.ndarray):
-    """The oracle's answers for the coalitions of ``keys``, asked in that order.
+    """The oracle's answers for the coalitions of ``keys``, in that order.
 
-    Returns a numerator and a denominator column, int64 where every
-    answer fits and Python ints otherwise. A failure names the answer's
-    entry of ``permutations``.
+    A :class:`CharacteristicFunction` (not a subclass) of ``players``' width
+    is not called: the pairs its table holds for the keys' masks are read
+    in one bulk read, and may be unreduced. Any other oracle is called once
+    per key, in order, and a failure names the answer's entry of
+    ``permutations``. Returns a numerator and a denominator column, int64
+    where every answer fits and Python ints otherwise.
     """
-    num, den = np.empty(keys.size, object), np.empty(keys.size, object)
-    masks, size = keys.tobytes(), keys.itemsize
-    for k in range(keys.size):
-        mask = int.from_bytes(masks[k * size : (k + 1) * size], "big")
-        try:
-            num[k], den[k] = parse_pair(oracle(Coalition(players, mask)))
-        except Exception as exc:
-            raise OracleError(int(permutations[k]), exc) from exc
+    if type(oracle) is CharacteristicFunction and oracle.n == players.n:
+        # a game has at most 20 players, so each key is one big-endian word
+        num, den = (np.array(column, object) for column in oracle.values.pairs(keys.view(">u8").tolist()))
+    else:
+        num, den = np.empty(keys.size, object), np.empty(keys.size, object)
+        masks, size = keys.tobytes(), keys.itemsize
+        for k in range(keys.size):
+            mask = int.from_bytes(masks[k * size : (k + 1) * size], "big")
+            try:
+                num[k], den[k] = parse_pair(oracle(Coalition(players, mask)))
+            except Exception as exc:
+                raise OracleError(int(permutations[k]), exc) from exc
     return tuple(c.astype(np.int64) if _bits(c) <= _INT64_BITS else c for c in (num, den))
 
 
 def _merge_chunk(table: _SortedKeys, oracle: Callable, players: PlayerSet, chunk_start: int, counted):
     """Add a chunk's new coalitions to the run's table, and give its steps their values.
 
-    The chunk's coalitions the table does not hold go to the oracle in
-    ascending mask order, and a failure names the first permutation of
-    the stream that needs the coalition. Returns, for each of the chunk's
-    distinct steps, its count, its player, and the numerator and
-    denominator of its prefix plus player and of its prefix.
+    The chunk's coalitions the table does not hold are answered by
+    :func:`_evaluate` in ascending mask order, and a failure names the
+    first permutation of the stream that needs the coalition. Returns,
+    for each of the chunk's distinct steps, its count, its player, and
+    the numerator and denominator of its prefix plus player and of its
+    prefix.
     """
     coalitions, needed_by, counts, step_players, joined, prefix = counted
     found, due = table.match(coalitions)
@@ -357,13 +367,16 @@ def sample_shapley(
     """Estimate the Shapley allocation of ``oracle`` by permutation sampling.
 
     ``oracle`` is a pure callable from :class:`Coalition` to a value
-    (int, Fraction, Decimal, decimal string, or float); a
-    :class:`chainshare.game.CharacteristicFunction` works directly. It
-    is called on the calling thread only, once per distinct coalition,
-    so it need not be thread-safe: chunk by chunk, on the coalitions the
-    chunk needs that no earlier chunk did, in ascending mask order. If it
-    raises, :class:`OracleError` names the first permutation of the
-    stream that needs the coalition it was asked for. ``workers`` must be
+    (int, Fraction, Decimal, decimal string, or float). A
+    :class:`chainshare.game.CharacteristicFunction` over as many players
+    as ``players`` is not called: its value table's exact pairs are read
+    in bulk, one read per chunk. Any other oracle, a subclass of the game
+    included, is called on the calling thread only, once per distinct
+    coalition, so it need not be thread-safe: chunk by chunk, on the
+    coalitions the chunk needs that no earlier chunk did, in ascending
+    mask order. If it raises, :class:`OracleError` names the first
+    permutation of the stream that needs the coalition it was asked for.
+    The report is the same either way. ``workers`` must be
     an int >= 1 and is otherwise ignored: it is kept for callers that pass
     it, and the report does not depend on it.
     """

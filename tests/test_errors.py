@@ -67,6 +67,10 @@ FACTORS = compute_deltas(["0.5", "0.5"], GAME.player_set)
     (errors.SamplingPlanError, lambda: sample_shapley(GAME, GAME.player_set, SamplingPlan(5, seed=0), workers=0)),
     (errors.InputTypeError, lambda: parse_rational(True)),
     (errors.InputTypeError, lambda: coalition_weight(3.0, 1)),
+    (errors.IdentifierError, lambda: GAME(4)),
+    (errors.IdentifierError, lambda: GAME(-1)),
+    (errors.InputTypeError, lambda: GAME(True)),
+    (errors.InputTypeError, lambda: Coalition(GAME.player_set, True)),
 ])
 def test_each_rule_raises_its_named_error(error, call):
     with pytest.raises(error):

@@ -8,7 +8,7 @@ import pytest
 
 from chainshare import game as game_module
 from chainshare.adjust import weighted_value_sums
-from chainshare.errors import EnumerationBoundError, IdentifierError, IncompleteGameError, NumberError
+from chainshare.errors import EnumerationBoundError, IdentifierError, IncompleteGameError, InputTypeError, NumberError
 from chainshare.game import (
     CharacteristicFunction,
     Coalition,
@@ -234,6 +234,36 @@ def test_value_lookup_forms(case_game):
     assert case_game(case_game.player_set.coalition(["B", "A"])) == 2000
     assert case_game(()) == 0
     assert case_game.grand_value == 3000
+
+
+def test_a_bare_string_names_one_player_everywhere():
+    # from_values once read the key "sup1" as {sup1} while game("sup1") and
+    # coalition("sup1") iterated its characters: "unknown player 's'"
+    ps = PlayerSet(("sup1", "B"))
+    game = CharacteristicFunction.from_values(ps, {"sup1": "1.5", "B": 2, ("sup1", "B"): 4})
+    assert ps.coalition("sup1") == ps.coalition(["sup1"]) == Coalition(ps, 1)
+    assert game("sup1") == game(["sup1"]) == Fraction(3, 2)
+    assert game("B") == 2
+    with pytest.raises(IdentifierError, match=r"^duplicate coalition \{sup1\}$"):
+        CharacteristicFunction.from_values(ps, {"sup1": 1, ("sup1",): 1})
+    with pytest.raises(IdentifierError, match="^unknown player 'sup'$"):
+        game("sup")
+
+
+def test_a_mask_follows_the_coalition_rule(case_game):
+    # game(8) and game(-1) once raised a bare KeyError, and game(True) read v({A})
+    for mask in (8, -1, 2**70):
+        with pytest.raises(IdentifierError, match=f"^coalition mask {mask:#x} out of range for 3 players$"):
+            case_game(mask)
+    for mask in (True, False):
+        with pytest.raises(InputTypeError, match="not a bool"):
+            case_game(mask)
+        with pytest.raises(InputTypeError, match="not a bool"):
+            Coalition(case_game.player_set, mask)
+    assert case_game(0) == 0 and case_game(7) == 3000
+    # the table is a Mapping, so a key it does not hold stays a KeyError
+    with pytest.raises(KeyError):
+        case_game.values[8]
 
 
 def test_negative_values_allowed():

@@ -510,6 +510,90 @@ def test_answers_past_int64_after_chunks_of_int64_answers():
     _assert_matches_reference(n, plan, value, workers=(1,))
 
 
+def _table_value(rng: random.Random, kind: str):
+    """A value as a scenario holds it: a 2-place decimal or a p/q ratio, kept
+    unreduced in the table, or an int past 2**63."""
+    if kind == "decimals":
+        return f"{rng.randint(-10**6, 10**6)}.{rng.randrange(100):02d}"
+    if kind == "ratios":
+        return f"{rng.randint(-999, 999)}/{rng.randint(1, 60)}"
+    return rng.choice((-1, 1)) * (2**63 + rng.randrange(2**66))
+
+
+def _table_game(n: int, kinds: tuple[str, ...], seed: int) -> CharacteristicFunction:
+    rng = random.Random(seed)
+    players = tuple(f"p{i}" for i in range(n))
+    values = {
+        tuple(p for i, p in enumerate(players) if mask >> i & 1): _table_value(rng, rng.choice(kinds))
+        for mask in range(1, 1 << n)
+    }
+    return CharacteristicFunction.from_values(players, values)
+
+
+@pytest.mark.parametrize("chunk_size", [1, 7, 500])
+@pytest.mark.parametrize("kind", ["decimals", "ratios", "past-int64"])
+def test_a_table_game_reports_what_its_calls_report(kind, chunk_size):
+    # the table's pairs are read, not called for; "1.50" is held as (150, 100)
+    game = _table_game(6, (kind,), seed=chunk_size)
+    plan = SamplingPlan(300, seed=chunk_size, chunk_size=chunk_size)
+    report = sample_shapley(game, game.player_set, plan)
+    assert report == sample_shapley(lambda c: game(c), game.player_set, plan)
+    assert sum(report.estimates, Fraction(0)) == game.grand_value
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    permutations=st.integers(1, 120),
+    chunk_size=st.sampled_from([1, 2, 7, 64, 4096]),
+    seed=st.integers(0, 2**64 - 1),
+    kinds=st.sets(st.sampled_from(["decimals", "ratios", "past-int64"]), min_size=1).map(sorted).map(tuple),
+)
+def test_any_table_game_reports_what_its_calls_report(n, permutations, chunk_size, seed, kinds):
+    game = _table_game(n, kinds, seed=seed)
+    plan = SamplingPlan(permutations, seed=seed, chunk_size=chunk_size)
+    assert sample_shapley(game, game.player_set, plan) == sample_shapley(lambda c: game(c), game.player_set, plan)
+
+
+def test_a_table_game_is_never_called(monkeypatch, case_game):
+    plan = SamplingPlan(2_000, seed=3, chunk_size=256)
+    expected = sample_shapley(lambda c: case_game(c), case_game.player_set, plan)
+
+    def refuse(self, coalition):
+        raise AssertionError(f"the game was called for {coalition}")
+
+    monkeypatch.setattr(CharacteristicFunction, "__call__", refuse)
+    assert sample_shapley(case_game, case_game.player_set, plan) == expected
+
+
+def test_a_subclass_of_the_game_is_called_in_the_documented_order():
+    masks = []
+
+    class Logged(CharacteristicFunction):
+        def __call__(self, coalition):
+            masks.append(coalition.mask)
+            return super().__call__(coalition)
+
+    n, plan = 6, SamplingPlan(300, seed=66, chunk_size=40)
+    game = _table_game(n, ("ratios",), seed=6)
+    report = sample_shapley(Logged(game.player_set, game.values), game.player_set, plan)
+    assert masks == _documented_calls(n, plan)[0]
+    assert report == sample_shapley(game, game.player_set, plan)
+
+
+def test_a_game_over_a_wider_player_set_fails_at_the_first_coalition_past_it(case_game):
+    # the game is called for each coalition, and the first that holds the
+    # fourth player fails with the documented permutation
+    players = PlayerSet(("A", "B", "C", "D"))
+    plan = SamplingPlan(50, seed=8, chunk_size=12)
+    calls, expected = _documented_calls(4, plan)
+    first = next(k for k, mask in enumerate(calls) if mask & 0b1000)
+    with pytest.raises(OracleError) as err:
+        sample_shapley(case_game, players, plan)
+    assert err.value.permutation_index == expected[first]
+    assert isinstance(err.value.__cause__, KeyError)
+
+
 def test_wide_game_beyond_mask_width():
     # 60 additive players: the estimate of each is exactly its own value
     # on every run because marginals never vary.
