@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import AlignmentError, ChoiceError, FactorSumError, NumberError
+from .errors import AlignmentError, ChoiceError, FactorSumError, InputTypeError, NumberError
 from .game import Allocation, CharacteristicFunction, PlayerSet, _payoffs_and_levers
 from .rational import RationalLike, parse_rational
 
@@ -52,6 +52,8 @@ class AdjustmentFactors:
 def _as_player_set(players: PlayerSet | Sequence[str] | int) -> PlayerSet:
     if isinstance(players, PlayerSet):
         return players
+    if isinstance(players, bool):
+        raise InputTypeError(f"a player count is an int, not a bool, got {players!r}")
     if isinstance(players, int):
         return PlayerSet(tuple(f"p{i + 1}" for i in range(players)))
     return PlayerSet(tuple(players))

@@ -23,7 +23,8 @@ import numpy as np
 
 from .adjust import AdjustmentFactors, compute_deltas
 from .errors import (
-    AlignmentError, ChoiceError, ConsistencyGateError, IterationLimitError, MatrixValidationError, NumberError,
+    AlignmentError, ChoiceError, ConsistencyGateError, IdentifierError, IterationLimitError, MatrixValidationError,
+    NumberError,
 )
 from .game import _unique_labels
 
@@ -96,7 +97,10 @@ class WeightVector:
             raise NumberError(f"weights sum to {sum(w):.12f}, expected 1")
 
     def weight_of(self, label: str) -> float:
-        return self.w[self.labels.index(label)]
+        try:
+            return self.w[self.labels.index(label)]
+        except ValueError:
+            raise IdentifierError(f"unknown weight label {label!r}") from None
 
     def as_array(self) -> np.ndarray:
         return np.array(self.w, dtype=float)

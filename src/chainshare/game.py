@@ -14,11 +14,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, islice
-from operator import add, mul
+from operator import add, index, mul
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import EnumerationBoundError, IdentifierError, IncompleteGameError, InputTypeError, NumberError
-from .rational import RationalLike, parse_pair
+from .rational import RationalLike, balanced_fold, parse_pair
 
 ENUMERATION_MAX_PLAYERS = 20
 
@@ -104,14 +104,21 @@ class PlayerSet:
 
 @dataclass(frozen=True)
 class Coalition:
-    """A subset of a player set, stored as a bit-vector: an int, not a bool, below 2**n."""
+    """A subset of a player set, stored as a bit-vector: an int below 2**n. A
+    mask is taken by ``operator.index``, so a numpy integer is stored as an
+    int; a bool, a float, a string or None is an InputTypeError."""
 
     player_set: PlayerSet
     mask: int
 
     def __post_init__(self):
-        if isinstance(self.mask, bool):
-            raise InputTypeError(f"a coalition mask is an int, not a bool, got {self.mask!r}")
+        if type(self.mask) is not int:  # a plain int, as nearly every caller passes, is taken as it is
+            if isinstance(self.mask, bool):
+                raise InputTypeError(f"a coalition mask is an int, not a bool, got {self.mask!r}")
+            try:
+                object.__setattr__(self, "mask", index(self.mask))
+            except TypeError:
+                raise InputTypeError(f"a coalition mask is an int, got {self.mask!r}") from None
         if not 0 <= self.mask < (1 << self.player_set.n):
             raise IdentifierError(f"coalition mask {self.mask:#x} out of range for {self.player_set.n} players")
 
@@ -148,8 +155,8 @@ def coalition_weight(n: int, s: int) -> Fraction:
     Returns (n-s)!(s-1)!/n! exactly. Over all coalitions containing a
     fixed player these weights sum to 1.
     """
-    if not isinstance(n, int) or not isinstance(s, int):
-        raise InputTypeError("player count and coalition size must be ints")
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (n, s)):
+        raise InputTypeError("player count and coalition size must be ints (not bools)")
     if not 1 <= s <= n:
         raise NumberError(f"coalition size must satisfy 1 <= s <= n, got s={s}, n={n}")
     if n > ENUMERATION_MAX_PLAYERS:
@@ -232,35 +239,25 @@ class ValueTable(Mapping[int, Fraction]):
         the denominators, for a table over every mask.
 
         Raises NumberError as soon as 2**n times the bits of D passes
-        ``MAX_SCALED_BITS``. The denominators join as a balanced tree of
-        pairwise lcms, built left to right like a binary counter: ``joined``
-        holds (lcm, leaf count) subtrees of falling sizes, and every lcm
-        made is checked. Each divides D, so the verdict is D's; a refusal
-        comes at the first subtree past the bound, with no lcm of a wide
-        running value per denominator, which a one-by-one fold would take.
+        ``MAX_SCALED_BITS``. The distinct denominators join by
+        :func:`balanced_fold` of pairwise lcms, and every lcm made is
+        checked. Each divides D, so the verdict is D's; a refusal comes at
+        the first subtree past the bound, with no lcm of a wide running
+        value per denominator, which a one-by-one fold would take.
         """
         limit = MAX_SCALED_BITS >> self.n
 
-        def checked(value: int) -> int:
-            if value.bit_length() > limit:
+        def checked_lcm(a: int, b: int) -> int:
+            scale = math.lcm(a, b)
+            if scale.bit_length() > limit:
                 raise NumberError(
                     f"the coalition values' common denominator passes {limit} bits, "
                     f"too wide to scale {1 << self.n} values to (at most {MAX_SCALED_BITS} bits in all)"
                 )
-            return value
+            return scale
 
         denominators = set(self.denominators)
-        joined: list[tuple[int, int]] = []
-        for scale in denominators:
-            leaves = 1
-            checked(scale)
-            while joined and joined[-1][1] == leaves:
-                scale = checked(math.lcm(joined.pop()[0], scale))
-                leaves *= 2
-            joined.append((scale, leaves))
-        scale = 1
-        for subtree, _ in reversed(joined):
-            scale = checked(math.lcm(scale, subtree))
+        scale = balanced_fold(checked_lcm, list(denominators))
         factor = {d: scale // d for d in denominators}
         return list(map(mul, self.numerators, map(factor.__getitem__, self.denominators))), scale
 
@@ -321,11 +318,16 @@ class CharacteristicFunction:
         return self.values[(1 << self.n) - 1]
 
     def __call__(self, coalition: Coalition | int | Iterable[str] | str) -> Fraction:
-        """v(coalition), of a Coalition, a mask by the Coalition rule, or names as PlayerSet.coalition reads them."""
-        if isinstance(coalition, int):
+        """v(coalition): of a Coalition of this game's player set; of one of
+        another player set, read by its members' names; of a name or names,
+        as PlayerSet.coalition reads them; of anything else, as a mask by
+        the Coalition rule."""
+        if not isinstance(coalition, (Coalition, str, Iterable)):
             coalition = Coalition(self.player_set, coalition)
         elif not isinstance(coalition, Coalition):
             coalition = self.player_set.coalition(coalition)
+        elif coalition.player_set != self.player_set:
+            coalition = self.player_set.coalition(coalition.members)
         if coalition.mask == 0:
             return Fraction(0)
         return self.values[coalition.mask]

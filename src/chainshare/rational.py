@@ -7,7 +7,8 @@ ints, Decimals, or floats; every conversion here is exact. Coalition
 values are read as integer (numerator, denominator) pairs instead, by
 :func:`parse_pair`, which builds no Fraction for a plain decimal or ratio,
 or a whole column of plain strings at once, by :func:`plain_ratios` and
-:func:`plain_pairs`.
+:func:`plain_pairs`. :func:`balanced_fold` joins a list of exact values
+(sums, lcms) as a balanced tree, so that most joins are of small operands.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from itertools import repeat
 from operator import itemgetter
+from typing import Callable, Sequence
 
 from .errors import InputTypeError, NumberError
 
@@ -144,6 +146,22 @@ def plain_pairs(values: list[str], ratios: list[int]) -> tuple[list[int], list[i
     for i in ratios:
         numerators[i], denominators[i] = parse_pair(values[i])
     return numerators, denominators
+
+
+def balanced_fold(combine: Callable, items: Sequence):
+    """``items``, a non-empty list, joined by ``combine`` as a balanced tree:
+    each index range is split at its middle, its halves folded depth first,
+    the left one first, and the two joined. One item comes back as it is.
+    An item takes part in at most ceil(log2 len(items)) joins, so exact sums
+    and lcms stay between small operands, not the whole running value."""
+
+    def fold(low: int, high: int):
+        if high - low <= 1:
+            return items[low]
+        middle = (low + high) // 2
+        return combine(fold(low, middle), fold(middle, high))
+
+    return fold(0, len(items))
 
 
 def exact_decimal(value: Fraction) -> str | None:

@@ -10,14 +10,14 @@ time: :func:`_count_steps` counts a chunk's distinct (prefix, player)
 steps, and :func:`_merge_chunk` finds the chunk's coalitions in the run's
 one coalition table, has :func:`_evaluate` answer the coalitions new to
 the run, and gives each step the values of its two coalitions; no step
-is probed one by one in Python. A :class:`CharacteristicFunction`'s
-answers are read from its value table in one bulk read per chunk; any
-other oracle is asked once per new coalition, in ascending mask order.
+is probed one by one in Python. A :class:`CharacteristicFunction` over
+the sampled players is read from its value table, one read per chunk;
+any other oracle is asked once per new coalition, in ascending mask order.
 :func:`_sum_block` adds the steps' marginals to each player's integer
-sums per denominator, and only those sums become Fractions. A run keeps
-its coalitions, their answers and these sums, not its steps. The sums
-are exact, so the estimates always sum to v(N) - v(empty), an equality,
-not a tolerance.
+sums per denominator, and only those sums become Fractions, added as one
+balanced fold per player. A run keeps its coalitions, their answers and
+these sums, not its steps. The sums are exact, so the estimates always
+sum to v(N) - v(empty), an equality, not a tolerance.
 """
 
 from __future__ import annotations
@@ -25,13 +25,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Callable
 
 import numpy as np
 
 from .errors import FloatRangeError, OracleError, SamplingPlanError
 from .game import CharacteristicFunction, Coalition, PlayerSet
-from .rational import parse_pair
+from .rational import balanced_fold, parse_pair
 
 _WORD_BITS = 64
 
@@ -234,14 +235,14 @@ def _bits(column: np.ndarray) -> int:
 def _evaluate(oracle: Callable, players: PlayerSet, keys: np.ndarray, permutations: np.ndarray):
     """The oracle's answers for the coalitions of ``keys``, in that order.
 
-    A :class:`CharacteristicFunction` (not a subclass) of ``players``' width
-    is not called: the pairs its table holds for the keys' masks are read
-    in one bulk read, and may be unreduced. Any other oracle is called once
+    A :class:`CharacteristicFunction` (not a subclass) over ``players``
+    itself is not called: the pairs its table holds for the keys' masks are
+    read in one bulk read, and may be unreduced. Any other oracle is called once
     per key, in order, and a failure names the answer's entry of
     ``permutations``. Returns a numerator and a denominator column, int64
     where every answer fits and Python ints otherwise.
     """
-    if type(oracle) is CharacteristicFunction and oracle.n == players.n:
+    if type(oracle) is CharacteristicFunction and oracle.player_set == players:
         # a game has at most 20 players, so each key is one big-endian word
         num, den = (np.array(column, object) for column in oracle.values.pairs(keys.view(">u8").tolist()))
     else:
@@ -277,19 +278,6 @@ def _merge_chunk(table: _SortedKeys, oracle: Callable, players: PlayerSet, chunk
     for (held_num, held_den), where, at in held:
         num[where], den[where] = held_num[at], held_den[at]
     return counts, step_players, num[joined], den[joined], num[prefix], den[prefix]
-
-
-def _pairwise_sum(terms: list[Fraction]) -> Fraction:
-    """The exact sum of ``terms``, added as a balanced tree.
-
-    Adding many Fractions with unrelated denominators one after another
-    makes every addition work on the whole running denominator; halving
-    keeps most additions between small operands.
-    """
-    if len(terms) <= 2:
-        return sum(terms, Fraction(0))
-    half = len(terms) // 2
-    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
 
 
 def _std_error(variance: Fraction, player: str) -> float:
@@ -368,17 +356,18 @@ def sample_shapley(
 
     ``oracle`` is a pure callable from :class:`Coalition` to a value
     (int, Fraction, Decimal, decimal string, or float). A
-    :class:`chainshare.game.CharacteristicFunction` over as many players
-    as ``players`` is not called: its value table's exact pairs are read
-    in bulk, one read per chunk. Any other oracle, a subclass of the game
-    included, is called on the calling thread only, once per distinct
-    coalition, so it need not be thread-safe: chunk by chunk, on the
-    coalitions the chunk needs that no earlier chunk did, in ascending
-    mask order. If it raises, :class:`OracleError` names the first
-    permutation of the stream that needs the coalition it was asked for.
-    The report is the same either way. ``workers`` must be
-    an int >= 1 and is otherwise ignored: it is kept for callers that pass
-    it, and the report does not depend on it.
+    :class:`chainshare.game.CharacteristicFunction` whose player set is
+    ``players`` is not called: its value table's exact pairs are read in
+    bulk, one read per chunk. Any other oracle, a subclass of the game or a
+    game over another player set included, is called on the calling thread
+    only, once per distinct coalition, so it need not be thread-safe: chunk
+    by chunk, on the coalitions the chunk needs that no earlier chunk did,
+    in ascending mask order. If it raises, :class:`OracleError` names the
+    first permutation of the stream that needs the coalition it was asked
+    for. The report is the same either way. Each player's exact sums per
+    denominator become one Fraction by :func:`balanced_fold`. ``workers``
+    must be an int >= 1 and is otherwise ignored: it is kept for callers
+    that pass it, and the report does not depend on it.
     """
     _check_count(workers, 1, math.inf, "worker count must be an int >= 1")
     n, m = players.n, plan.permutations
@@ -399,8 +388,8 @@ def sample_shapley(
             for block in zip(*(np.array_split(column, blocks) for column in columns)):
                 _sum_block(sums, n, m, *block)
             waiting.clear()
-    totals = [_pairwise_sum([Fraction(t, d) for d, (t, _) in by_den.items()]) for by_den in sums]
-    squares = [_pairwise_sum([Fraction(sq, d * d) for d, (_, sq) in by_den.items()]) for by_den in sums]
+    totals = [balanced_fold(add, [Fraction(t, d) for d, (t, _) in by_den.items()]) for by_den in sums]
+    squares = [balanced_fold(add, [Fraction(sq, d * d) for d, (_, sq) in by_den.items()]) for by_den in sums]
     return EstimateReport(
         player_set=players,
         estimates=tuple(t / m for t in totals),

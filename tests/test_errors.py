@@ -71,6 +71,14 @@ FACTORS = compute_deltas(["0.5", "0.5"], GAME.player_set)
     (errors.IdentifierError, lambda: GAME(-1)),
     (errors.InputTypeError, lambda: GAME(True)),
     (errors.InputTypeError, lambda: Coalition(GAME.player_set, True)),
+    (errors.InputTypeError, lambda: Coalition(GAME.player_set, 1.0)),
+    (errors.InputTypeError, lambda: Coalition(GAME.player_set, "a")),
+    (errors.InputTypeError, lambda: GAME(1.0)),
+    (errors.InputTypeError, lambda: GAME(None)),
+    (errors.IdentifierError, lambda: GAME(Coalition(PlayerSet(("A", "B", "C")), 4))),
+    (errors.IdentifierError, lambda: WeightVector(("a", "b"), (0.5, 0.5)).weight_of("z")),
+    (errors.InputTypeError, lambda: coalition_weight(True, 1)),
+    (errors.InputTypeError, lambda: compute_deltas(["1"], True)),
 ])
 def test_each_rule_raises_its_named_error(error, call):
     with pytest.raises(error):

@@ -2,8 +2,9 @@ import json
 import random
 import time
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 
+import numpy as np
 import pytest
 
 from chainshare import game as game_module
@@ -266,6 +267,23 @@ def test_a_mask_follows_the_coalition_rule(case_game):
         case_game.values[8]
 
 
+def test_a_numpy_integer_is_a_mask(case_game):
+    # game(np.int64(3)) once escaped as "'numpy.int64' object is not iterable"
+    assert case_game(np.int64(3)) == case_game(3)
+    coalition = Coalition(case_game.player_set, np.uint8(5))
+    assert type(coalition.mask) is int and coalition == Coalition(case_game.player_set, 5)
+
+
+def test_a_coalition_of_another_player_set_is_read_by_its_names(case_game):
+    # such a coalition was once read by its mask, as another set's players
+    reordered = PlayerSet(tuple(reversed(case_game.player_set.players)))
+    for mask in range(8):
+        coalition = Coalition(reordered, mask)
+        assert case_game(coalition) == case_game(coalition.members)
+    with pytest.raises(IdentifierError, match="^unknown player 'D'$"):
+        case_game(PlayerSet(("A", "B", "C", "D")).coalition(["A", "D"]))
+
+
 def test_negative_values_allowed():
     game = CharacteristicFunction.from_values(
         ("1", "2"), {("1",): "-5.5", ("2",): 0, ("1", "2"): "-1"}
@@ -435,6 +453,27 @@ def _folded_scale(table: ValueTable) -> int | None:
         if scale.bit_length() << table.n > game_module.MAX_SCALED_BITS:
             return None
     return scale
+
+
+def test_a_refused_scale_takes_no_lcm_over_the_right_half(monkeypatch):
+    # seven distinct denominators fold as 3 | 4; the left three's lcm passes the
+    # bound, and a left-to-right binary counter would have joined the fourth first
+    table = ValueTable(3)
+    table.denominators = [1, 1, 101, 103, 107, 109, 113, 127]
+    leaves = list(set(table.denominators))
+    left, right = leaves[:3], leaves[3:]
+    limit = lcm(*left).bit_length() - 1
+    monkeypatch.setattr(game_module, "MAX_SCALED_BITS", limit << 3)
+    calls = []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return lcm(a, b)
+
+    monkeypatch.setattr(game_module.math, "lcm", spy)
+    with pytest.raises(NumberError, match=f"passes {limit} bits"):
+        table.scaled()
+    assert calls and all(gcd(a * b, prod(right)) == 1 for a, b in calls)
 
 
 @pytest.mark.parametrize("seed", range(6))

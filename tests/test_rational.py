@@ -1,5 +1,9 @@
+import math
+import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +14,7 @@ from chainshare.rational import (
     _NOT_PLAIN_LINE,
     _PLAIN,
     MAX_DIGITS,
+    balanced_fold,
     exact_decimal,
     exact_string,
     format_fixed,
@@ -214,3 +219,35 @@ FIXED_VALUES = st.one_of(
 @given(FIXED_VALUES, st.sampled_from([0, 2, 4, 6]))
 def test_format_fixed_matches_the_fraction_reference(value, places):
     assert format_fixed(value, places) == fraction_format_fixed(value, places)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_balanced_fold_sums_and_joins_exactly(seed):
+    rng = random.Random(seed)
+    for length in range(1, 70):
+        fractions = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(length)]
+        assert balanced_fold(add, fractions) == sum(fractions, Fraction(0))
+        ints = [rng.randint(1, 10**4) for _ in range(length)]
+        assert balanced_fold(math.lcm, ints) == math.lcm(*ints)
+
+
+def test_the_balanced_fold_returns_one_item_without_a_join():
+    item = Fraction(3, 7)
+
+    def refuse(a, b):
+        raise AssertionError("joined a one-item list")
+
+    assert balanced_fold(refuse, [item]) is item
+
+
+@pytest.mark.parametrize("length", [2, 3, 5, 7, 8, 9, 100, 1023, 1024, 1025])
+def test_the_balanced_fold_joins_each_item_at_most_ceil_log2_times(length):
+    joins = Counter()
+
+    def join(a, b):
+        joins.update(a + b)
+        return a + b
+
+    # the leaves come back in their order, so every half was joined left first
+    assert balanced_fold(join, [(i,) for i in range(length)]) == tuple(range(length))
+    assert max(joins.values()) <= math.ceil(math.log2(length))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainshare import sampling
-from chainshare.errors import FloatRangeError, OracleError, SamplingPlanError
+from chainshare.errors import FloatRangeError, IdentifierError, OracleError, SamplingPlanError
 from chainshare.game import CharacteristicFunction, PlayerSet, shapley_exact
 from chainshare.sampling import (
     DEFAULT_CHUNK_SIZE,
@@ -591,7 +591,19 @@ def test_a_game_over_a_wider_player_set_fails_at_the_first_coalition_past_it(cas
     with pytest.raises(OracleError) as err:
         sample_shapley(case_game, players, plan)
     assert err.value.permutation_index == expected[first]
-    assert isinstance(err.value.__cause__, KeyError)
+    assert isinstance(err.value.__cause__, IdentifierError)
+
+
+def test_a_game_sampled_under_a_reordered_player_set_reads_its_values_by_name(case_game):
+    # the table was once read whenever the widths matched, so each player got
+    # the payoff of the player at its position in the game's own order
+    two = CharacteristicFunction.from_values(("A", "B"), {("A",): 1, ("B",): 2, ("A", "B"): 4})
+    for game, players in ((two, PlayerSet(("B", "A"))), (case_game, PlayerSet(("C", "A", "B")))):
+        plan = SamplingPlan(100, seed=1, chunk_size=32)
+        by_name = sample_shapley(lambda c: game(c.members), players, plan)
+        assert sample_shapley(game, players, plan) == by_name
+    assert sample_shapley(two, PlayerSet(("B", "A")), SamplingPlan(100, seed=1)).estimates == (
+        Fraction(51, 20), Fraction(29, 20))
 
 
 def test_wide_game_beyond_mask_width():
