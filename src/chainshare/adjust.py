@@ -56,7 +56,11 @@ def _as_player_set(players: PlayerSet | Sequence[str] | int) -> PlayerSet:
         raise InputTypeError(f"a player count is an int, not a bool, got {players!r}")
     if isinstance(players, int):
         return PlayerSet(tuple(f"p{i + 1}" for i in range(players)))
-    return PlayerSet(tuple(players))
+    try:
+        names = tuple(players)
+    except TypeError:  # not iterable
+        raise InputTypeError(f"players are a PlayerSet, a count or names, got {players!r}") from None
+    return PlayerSet(names)
 
 
 def compute_deltas(

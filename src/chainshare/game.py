@@ -46,11 +46,26 @@ def _unique_labels(labels: Iterable[str], what: str) -> tuple[str, ...]:
     return out
 
 
+def _is_names(members) -> bool:
+    """Whether ``members`` is read as names: a string, or anything ``iter``
+    takes (not an int, a numpy integer or a 0-d array)."""
+    if isinstance(members, str):
+        return True
+    try:
+        iter(members)
+    except TypeError:
+        return False
+    return True
+
+
 def _mask_of(bits: Mapping[str, int], members: Iterable[str] | str) -> int:
     """The mask of ``members`` by a player set's ``bits``: every name a known
-    player, none repeated. A bare string names one player."""
+    player, none repeated. A bare string names one player; anything that is
+    not names is an InputTypeError."""
     if isinstance(members, str):
         members = (members,)
+    elif not _is_names(members):
+        raise InputTypeError(f"members are a player name or an iterable of names, got {members!r}")
     mask = 0
     for name in members:
         try:
@@ -320,14 +335,15 @@ class CharacteristicFunction:
     def __call__(self, coalition: Coalition | int | Iterable[str] | str) -> Fraction:
         """v(coalition): of a Coalition of this game's player set; of one of
         another player set, read by its members' names; of a name or names,
-        as PlayerSet.coalition reads them; of anything else, as a mask by
-        the Coalition rule."""
-        if not isinstance(coalition, (Coalition, str, Iterable)):
-            coalition = Coalition(self.player_set, coalition)
-        elif not isinstance(coalition, Coalition):
+        as PlayerSet.coalition reads them; of anything else (an int, a
+        numpy integer or a 0-d array), as a mask by the Coalition rule."""
+        if isinstance(coalition, Coalition):
+            if coalition.player_set != self.player_set:
+                coalition = self.player_set.coalition(coalition.members)
+        elif _is_names(coalition):
             coalition = self.player_set.coalition(coalition)
-        elif coalition.player_set != self.player_set:
-            coalition = self.player_set.coalition(coalition.members)
+        else:
+            coalition = Coalition(self.player_set, coalition)
         if coalition.mask == 0:
             return Fraction(0)
         return self.values[coalition.mask]

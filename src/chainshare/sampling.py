@@ -5,19 +5,33 @@ v(predecessors + player) - v(predecessors). Sampling is split into
 chunks; chunk c draws its permutations from an RNG stream derived from
 (seed, c), so the output is a pure function of (oracle, players, plan).
 
-One pass serves every game width, on the caller's thread, one chunk at a
-time: :func:`_count_steps` counts a chunk's distinct (prefix, player)
-steps, and :func:`_merge_chunk` finds the chunk's coalitions in the run's
-one coalition table, has :func:`_evaluate` answer the coalitions new to
-the run, and gives each step the values of its two coalitions; no step
-is probed one by one in Python. A :class:`CharacteristicFunction` over
-the sampled players is read from its value table, one read per chunk;
-any other oracle is asked once per new coalition, in ascending mask order.
-:func:`_sum_block` adds the steps' marginals to each player's integer
-sums per denominator, and only those sums become Fractions, added as one
-balanced fold per player. A run keeps its coalitions, their answers and
-these sums, not its steps. The sums are exact, so the estimates always
-sum to v(N) - v(empty), an equality, not a tolerance.
+Chunk c is drawn by :func:`_draw`, and a run counts its (prefix, player)
+steps on one of two paths, picked from its input, on the caller's thread.
+
+A :class:`CharacteristicFunction` over the sampled players themselves,
+with 2**n no more than the permutations, takes the dense path,
+:func:`_dense_steps`: each step's key, prefix mask * n + player, is
+counted by ``np.bincount`` into one run-wide table of 2**n * n counts,
+and the game's value columns are read once. The rule is measured: where
+2**n is far above the permutations (16 players, 1,000 permutations),
+sorting the steps drawn beats a pass over a table of many more slots,
+and at the rule the table is at most n * 8 bytes per permutation.
+
+Every other run takes the sort path, :func:`_sorted_steps`, one chunk at
+a time: :func:`_count_steps` counts a chunk's distinct steps by sorting,
+and :func:`_merge_chunk` finds the chunk's coalitions in the run's one
+coalition table, has :func:`_evaluate` answer the coalitions new to the
+run, and gives each step the values of its two coalitions; no step is
+probed one by one in Python. A table game that fails the width rule is
+read from its value table, one read per chunk; any other oracle is asked
+once per new coalition, in ascending mask order.
+
+On both paths :func:`_sum_block` adds the steps' marginals to each
+player's integer sums per denominator, and only those sums become
+Fractions, added as one balanced fold per player. A run keeps its
+coalitions, their answers or its count table, and these sums, not its
+steps. The sums are exact, so both paths report the same, and the
+estimates always sum to v(N) - v(empty), an equality, not a tolerance.
 """
 
 from __future__ import annotations
@@ -40,7 +54,10 @@ DEFAULT_CHUNK_SIZE = 4096
 
 # Counting a chunk peaks at about 5.4 arrays of chunk size x n 8-byte words at
 # 64 players and 7.6 at 130 (about 170 MiB at this bound and 64 players), and
-# one chunk is counted at a time, so plans are bounded.
+# one chunk is counted at a time, so plans are bounded. The dense path's count
+# table of 2**n * n int64s is at most n * 8 bytes per permutation under its
+# width rule, and counting into it peaks near 3.6 such tables at the default
+# chunk size and 4.5 at this bound (n = 16, 2**16 permutations).
 MAX_CHUNK_SIZE = 65_536
 
 # An int64 holds every magnitude below 2**63.
@@ -88,6 +105,18 @@ class EstimateReport:
     rng: str
 
 
+def _draw(n: int, seed: int, chunk_index: int, count: int) -> np.ndarray:
+    """Chunk ``chunk_index`` of the stream: ``count`` permutations of range(n), one per row, as intp.
+
+    Chunk c is shuffled by PCG64 seeded with SeedSequence(seed, spawn_key=(c,)).
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
+    # numpy shuffles 8-byte items fastest; the order drawn does not depend on the dtype
+    perms = np.tile(np.arange(n, dtype=np.intp), (count, 1))
+    rng.permuted(perms, axis=1, out=perms)
+    return perms
+
+
 def _count_steps(n: int, seed: int, chunk_index: int, count: int):
     """Draw chunk ``chunk_index`` and count its distinct (prefix, player) steps.
 
@@ -111,10 +140,7 @@ def _count_steps(n: int, seed: int, chunk_index: int, count: int):
     plus player and of its prefix among the coalitions. The last three
     are in the narrow dtypes they were counted in.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
-    # numpy shuffles 8-byte items fastest; the order drawn does not depend on the dtype
-    perms = np.tile(np.arange(n, dtype=np.intp), (count, 1))
-    rng.permuted(perms, axis=1, out=perms)
+    perms = _draw(n, seed, chunk_index, count)
     players = perms.astype(np.min_scalar_type(n - 1)).ravel()
     del perms
     size = players.size
@@ -232,6 +258,17 @@ def _bits(column: np.ndarray) -> int:
     return max(int(column.max()), -int(column.min())).bit_length()
 
 
+def _narrow(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each column of Python ints as int64 where every magnitude is below 2**63, and as it is otherwise."""
+    return tuple(c.astype(np.int64) if _bits(c) <= _INT64_BITS else c for c in columns)
+
+
+def _is_table_game(oracle: Callable, players: PlayerSet) -> bool:
+    """Whether ``oracle`` is a :class:`CharacteristicFunction` (not a subclass) over ``players`` itself,
+    whose value table is read instead of calling it."""
+    return type(oracle) is CharacteristicFunction and oracle.player_set == players
+
+
 def _evaluate(oracle: Callable, players: PlayerSet, keys: np.ndarray, permutations: np.ndarray):
     """The oracle's answers for the coalitions of ``keys``, in that order.
 
@@ -242,7 +279,7 @@ def _evaluate(oracle: Callable, players: PlayerSet, keys: np.ndarray, permutatio
     ``permutations``. Returns a numerator and a denominator column, int64
     where every answer fits and Python ints otherwise.
     """
-    if type(oracle) is CharacteristicFunction and oracle.player_set == players:
+    if _is_table_game(oracle, players):
         # a game has at most 20 players, so each key is one big-endian word
         num, den = (np.array(column, object) for column in oracle.values.pairs(keys.view(">u8").tolist()))
     else:
@@ -254,7 +291,7 @@ def _evaluate(oracle: Callable, players: PlayerSet, keys: np.ndarray, permutatio
                 num[k], den[k] = parse_pair(oracle(Coalition(players, mask)))
             except Exception as exc:
                 raise OracleError(int(permutations[k]), exc) from exc
-    return tuple(c.astype(np.int64) if _bits(c) <= _INT64_BITS else c for c in (num, den))
+    return _narrow(num, den)
 
 
 def _merge_chunk(table: _SortedKeys, oracle: Callable, players: PlayerSet, chunk_start: int, counted):
@@ -345,6 +382,68 @@ def _sum_block(sums: list[dict[int, list[int]]], n: int, m: int, counts, player,
             entry[1] += sq
 
 
+def _sorted_steps(oracle: Callable, players: PlayerSet, plan: SamplingPlan):
+    """The run's steps with their values, counted a chunk at a time by sorting, in blocks for :func:`_sum_block`.
+
+    Each chunk's distinct steps are counted by :func:`_count_steps` and
+    valued by :func:`_merge_chunk` against the run's one coalition table.
+    Counted steps wait until ``_SUM_BLOCK`` are due, or the run ends, and
+    then go in the fewest blocks of at most ``_SUM_BLOCK``.
+    """
+    n, m = players.n, plan.permutations
+    table = _SortedKeys()
+    waiting: list[tuple] = []
+    for chunk_index, chunk_start in enumerate(range(0, m, plan.chunk_size)):
+        count = min(plan.chunk_size, m - chunk_start)
+        counted = _count_steps(n, plan.seed, chunk_index, count)
+        waiting.append(_merge_chunk(table, oracle, players, chunk_start, counted))
+        if sum(steps[0].size for steps in waiting) >= _SUM_BLOCK or chunk_start + count == m:
+            columns = [np.concatenate(column) for column in zip(*waiting)]
+            blocks = -(-columns[0].size // _SUM_BLOCK)
+            yield from zip(*(np.array_split(column, blocks) for column in columns))
+            waiting.clear()
+
+
+def _dense_steps(game: CharacteristicFunction, plan: SamplingPlan):
+    """A table game's run of steps, counted in one table, with their values, in blocks for :func:`_sum_block`.
+
+    A step (prefix mask S, player i) has the key S * n + i, below 2**n * n.
+    Each chunk is drawn by :func:`_draw`, its prefix masks are cumulative
+    sums of its players' bits, and its keys wait until the waiting chunks
+    hold at least 2**n * n of them; one ``np.bincount`` then adds them to
+    the run's table of 2**n * n int64 counts. The table's nonzero entries
+    are the run's distinct steps, in (mask, player) order. The game's two
+    value columns are read once, narrowed as :func:`_evaluate` narrows an
+    answer, and each step takes the values of its prefix plus player and of
+    its prefix, in blocks of at most ``_SUM_BLOCK`` steps.
+    """
+    n, m = game.n, plan.permutations
+    size = n << n
+    counts = np.zeros(size, np.int64)
+    waiting: list[np.ndarray] = []
+    for chunk_index, chunk_start in enumerate(range(0, m, plan.chunk_size)):
+        count = min(plan.chunk_size, m - chunk_start)
+        # a game has at most 20 players, so every key is below 2**25 and fits an int32
+        perms = _draw(n, plan.seed, chunk_index, count).astype(np.int32)
+        bits = 1 << perms
+        keys = np.cumsum(bits, axis=1, dtype=np.int32)
+        keys -= bits
+        keys *= n
+        keys += perms
+        waiting.append(keys.ravel())
+        if sum(chunk.size for chunk in waiting) >= size or chunk_start + count == m:
+            keys = np.concatenate(waiting)
+            waiting.clear()
+            counts += np.bincount(keys, minlength=size)
+    steps = np.flatnonzero(counts)
+    num, den = _narrow(np.array(game.values.numerators, object), np.array(game.values.denominators, object))
+    for start in range(0, steps.size, _SUM_BLOCK):
+        step = steps[start : start + _SUM_BLOCK]
+        prefix, player = np.divmod(step, n)
+        joined = prefix | 1 << player
+        yield counts[step], player, num[joined], den[joined], num[prefix], den[prefix]
+
+
 def sample_shapley(
     oracle: Callable,
     players: PlayerSet,
@@ -358,7 +457,10 @@ def sample_shapley(
     (int, Fraction, Decimal, decimal string, or float). A
     :class:`chainshare.game.CharacteristicFunction` whose player set is
     ``players`` is not called: its value table's exact pairs are read in
-    bulk, one read per chunk. Any other oracle, a subclass of the game or a
+    bulk. With 2**n no more than the permutations, its steps are counted in
+    one run-wide table of 2**n * n counts and its value columns are read
+    once; otherwise its steps are counted by sorting and its pairs read once
+    per chunk. Any other oracle, a subclass of the game or a
     game over another player set included, is called on the calling thread
     only, once per distinct coalition, so it need not be thread-safe: chunk
     by chunk, on the coalitions the chunk needs that no earlier chunk did,
@@ -371,23 +473,13 @@ def sample_shapley(
     """
     _check_count(workers, 1, math.inf, "worker count must be an int >= 1")
     n, m = players.n, plan.permutations
-    table = _SortedKeys()
     # Sums are kept per denominator, not over one lcm of the whole table:
     # with a distinct prime denominator per coalition that lcm makes every
     # marginal an int of thousands of digits.
     sums: list[dict[int, list[int]]] = [{} for _ in range(n)]
-    waiting: list[tuple] = []
-    for chunk_index, chunk_start in enumerate(range(0, m, plan.chunk_size)):
-        count = min(plan.chunk_size, m - chunk_start)
-        counted = _count_steps(n, plan.seed, chunk_index, count)
-        waiting.append(_merge_chunk(table, oracle, players, chunk_start, counted))
-        # counted steps wait until a block is due, then go in the fewest blocks of at most _SUM_BLOCK
-        if sum(steps[0].size for steps in waiting) >= _SUM_BLOCK or chunk_start + count == m:
-            columns = [np.concatenate(column) for column in zip(*waiting)]
-            blocks = -(-columns[0].size // _SUM_BLOCK)
-            for block in zip(*(np.array_split(column, blocks) for column in columns)):
-                _sum_block(sums, n, m, *block)
-            waiting.clear()
+    dense = _is_table_game(oracle, players) and 1 << n <= m
+    for block in _dense_steps(oracle, plan) if dense else _sorted_steps(oracle, players, plan):
+        _sum_block(sums, n, m, *block)
     totals = [balanced_fold(add, [Fraction(t, d) for d, (t, _) in by_den.items()]) for by_den in sums]
     squares = [balanced_fold(add, [Fraction(sq, d * d) for d, (_, sq) in by_den.items()]) for by_den in sums]
     return EstimateReport(

@@ -79,6 +79,10 @@ FACTORS = compute_deltas(["0.5", "0.5"], GAME.player_set)
     (errors.IdentifierError, lambda: WeightVector(("a", "b"), (0.5, 0.5)).weight_of("z")),
     (errors.InputTypeError, lambda: coalition_weight(True, 1)),
     (errors.InputTypeError, lambda: compute_deltas(["1"], True)),
+    (errors.InputTypeError, lambda: GAME.player_set.coalition(5)),
+    (errors.InputTypeError, lambda: GAME(np.array(3.0))),
+    (errors.InputTypeError, lambda: compute_deltas(["1"], 1.5)),
+    (errors.InputTypeError, lambda: compute_deltas(["1"], None)),
 ])
 def test_each_rule_raises_its_named_error(error, call):
     with pytest.raises(error):

@@ -274,6 +274,13 @@ def test_a_numpy_integer_is_a_mask(case_game):
     assert type(coalition.mask) is int and coalition == Coalition(case_game.player_set, 5)
 
 
+def test_a_0d_integer_array_is_a_mask(case_game):
+    # game(np.array(3)) once escaped as "iteration over a 0-d array"
+    assert case_game(np.array(3)) == case_game(3)
+    assert case_game(np.array(5, np.uint8)) == case_game(5)
+    assert case_game(np.array(["A", "C"])) == case_game(("A", "C"))
+
+
 def test_a_coalition_of_another_player_set_is_read_by_its_names(case_game):
     # such a coalition was once read by its mask, as another set's players
     reordered = PlayerSet(tuple(reversed(case_game.player_set.players)))

@@ -555,6 +555,61 @@ def test_any_table_game_reports_what_its_calls_report(n, permutations, chunk_siz
     assert sample_shapley(game, game.player_set, plan) == sample_shapley(lambda c: game(c), game.player_set, plan)
 
 
+def _spy(monkeypatch, owner, name: str, calls: list) -> None:
+    wrapped = getattr(owner, name)
+
+    def spy(*args):
+        calls.append(name)
+        return wrapped(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_a_table_game_is_counted_densely_while_2_to_the_n_is_at_most_m(monkeypatch, n):
+    calls = []
+    for owner, name in ((sampling, "_dense_steps"), (sampling, "_count_steps"), (sampling._SortedKeys, "add")):
+        _spy(monkeypatch, owner, name, calls)
+    game = _table_game(n, ("ratios",), seed=n)
+    for permutations in (2**n - 1, 2**n, 2**n + 1, 4 * 2**n):
+        calls.clear()
+        sample_shapley(game, game.player_set, SamplingPlan(permutations, seed=n, chunk_size=3))
+        if 2**n <= permutations:
+            assert calls == ["_dense_steps"]
+        else:
+            assert "_dense_steps" not in calls and {"_count_steps", "add"} <= set(calls)
+
+
+@pytest.mark.parametrize("chunk_size", [1, 7, 4096])
+@pytest.mark.parametrize("kind", ["decimals", "ratios", "past-int64"])
+@pytest.mark.parametrize("n, permutations", [(4, 16), (4, 17), (7, 128), (7, 129)])
+def test_the_dense_count_reports_what_the_calls_report(n, permutations, kind, chunk_size):
+    # m = 2**n and 2**n + 1, the width rule's edge; with chunks of 1 and 7 a step's
+    # count builds up over many chunks, and past 2**n permutations over two bincounts
+    game = _table_game(n, (kind,), seed=permutations + chunk_size)
+    plan = SamplingPlan(permutations, seed=chunk_size, chunk_size=chunk_size)
+    report = sample_shapley(game, game.player_set, plan)
+    assert report == sample_shapley(lambda c: game(c), game.player_set, plan)
+    assert sum(report.estimates, Fraction(0)) == game.grand_value
+
+
+def test_dense_counting_peaks_below_four_count_tables():
+    # the count table is 2**n * n int64s, n * 8 bytes per permutation at 2**n = m
+    n = 16
+    players = PlayerSet(tuple(f"p{i}" for i in range(n)))
+    game = CharacteristicFunction(players, {mask: mask % 1000 for mask in range(1, 1 << n)})
+    small = _table_game(2, ("ratios",), seed=0)
+    sample_shapley(small, small.player_set, SamplingPlan(8, seed=0))  # numpy's first-call setup is not counted
+    tracemalloc.start()
+    try:
+        report = sample_shapley(game, players, SamplingPlan(2**n, seed=16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(report.estimates, Fraction(0)) == game.grand_value
+    assert peak <= 4 * 2**n * n * 8
+
+
 def test_a_table_game_is_never_called(monkeypatch, case_game):
     plan = SamplingPlan(2_000, seed=3, chunk_size=256)
     expected = sample_shapley(lambda c: case_game(c), case_game.player_set, plan)
