@@ -57,10 +57,10 @@ def _as_player_set(players: PlayerSet | Sequence[str] | int) -> PlayerSet:
     if isinstance(players, int):
         return PlayerSet(tuple(f"p{i + 1}" for i in range(players)))
     try:
-        names = tuple(players)
-    except TypeError:  # not iterable
+        iter(players)
+    except TypeError:
         raise InputTypeError(f"players are a PlayerSet, a count or names, got {players!r}") from None
-    return PlayerSet(names)
+    return PlayerSet(players)
 
 
 def compute_deltas(

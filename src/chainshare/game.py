@@ -28,10 +28,11 @@ ENUMERATION_MAX_PLAYERS = 20
 MAX_SCALED_BITS = 1 << 31
 
 
-def _unique_labels(labels: Iterable[str], what: str) -> tuple[str, ...]:
+def _unique_labels(labels: Iterable[str] | str, what: str) -> tuple[str, ...]:
     """``labels`` as a tuple: at least one, each a non-empty string that UTF-8
-    can encode (so a report can print it), none repeated."""
-    out = tuple(labels)
+    can encode (so a report can print it), none repeated. A bare string is
+    one label."""
+    out = (labels,) if isinstance(labels, str) else tuple(labels)
     if not out:
         raise IdentifierError(f"at least one {what} label is needed")
     for label in out:
@@ -317,7 +318,7 @@ class CharacteristicFunction:
         """Build a game from coalition member lists, e.g.
         ``{("A",): "1000", ("A", "B"): "2000", ...}``, under the rules a
         scenario's coalitions follow."""
-        player_set = players if isinstance(players, PlayerSet) else PlayerSet(tuple(players))
+        player_set = players if isinstance(players, PlayerSet) else PlayerSet(players)
         table = ValueTable(player_set.n)
         for members, value in values.items():
             mask = table.mask_for(player_set.bits, members)

@@ -5,10 +5,9 @@ that allocation identities (efficiency, telescoping) are equalities
 rather than tolerances. Inputs arrive as decimal strings, ratio strings,
 ints, Decimals, or floats; every conversion here is exact. Coalition
 values are read as integer (numerator, denominator) pairs instead, by
-:func:`parse_pair`, which builds no Fraction for a plain decimal or ratio,
-or a whole column of plain strings at once, by :func:`plain_ratios` and
-:func:`plain_pairs`. :func:`balanced_fold` joins a list of exact values
-(sums, lcms) as a balanced tree, so that most joins are of small operands.
+:func:`parse_pair`, which builds no Fraction for a plain decimal or
+ratio. :func:`balanced_fold` joins a list of exact values (sums, lcms)
+as a balanced tree, so that most joins are of small operands.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ import re
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from itertools import repeat
-from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import InputTypeError, NumberError
@@ -33,13 +30,7 @@ MAX_DIGITS = 1000
 
 # A plain ASCII decimal ("-12.50", "7") or ratio with a non-zero denominator
 # ("4150/3", "-1/3"), a minus sign only in front.
-_PLAIN_GRAMMAR = r"(-?[0-9]+)(?:\.([0-9]+))?|(-?[0-9]+)/([0-9]*[1-9][0-9]*)"
-_PLAIN = re.compile(_PLAIN_GRAMMAR).fullmatch
-# The same grammar capturing nothing, and the first line of a "\n"-joined text
-# that it does not match. A search tries each line on its own, so re keeps no
-# state per line, as a repeat over the lines would.
-_UNCAPTURED = re.sub(r"\((?!\?)", "(?:", _PLAIN_GRAMMAR)
-_NOT_PLAIN_LINE = re.compile(rf"^(?!(?:{_UNCAPTURED})$)", re.MULTILINE).search
+_PLAIN = re.compile(r"(-?[0-9]+)(?:\.([0-9]+))?|(-?[0-9]+)/([0-9]*[1-9][0-9]*)").fullmatch
 
 
 def _check_size(text: str) -> None:
@@ -105,47 +96,6 @@ def parse_pair(value: RationalLike) -> tuple[int, int]:
                 return int(numerator), int(denominator)
             return int(whole + places), _power_of_ten(len(places))
     return parse_rational(value).as_integer_ratio()
-
-
-def plain_ratios(values: list) -> list[int] | None:
-    """Where ``values`` hold ratios, when every value is a plain ASCII
-    decimal or ratio string within ``MAX_DIGITS`` characters, which
-    :func:`parse_pair` reads straight into ints; else None.
-
-    One regex search over the ``"\\n"``-joined values checks them all; the
-    ratios are then found in that text, one step per ratio.
-    """
-    if set(map(type, values)) != {str} or max(map(len, values)) > MAX_DIGITS:
-        return None
-    text = "\n".join(values)
-    if text.count("\n") != len(values) - 1 or _NOT_PLAIN_LINE(text):
-        return None
-    ratios, line, at = [], 0, 0
-    while (slash := text.find("/", at)) >= 0:
-        line += text.count("\n", at, slash)
-        ratios.append(line)
-        at = slash + 1
-    return ratios
-
-
-def plain_pairs(values: list[str], ratios: list[int]) -> tuple[list[int], list[int]]:
-    """The pairs :func:`parse_pair` reads from ``values``, as a list of
-    numerators and one of denominators, for values and ratios that
-    :func:`plain_ratios` accepted and found.
-
-    A decimal's numerator is ``int`` of its digits and its denominator ten
-    to the number of its places, each taken a column at a time; only the
-    ratios go through :func:`parse_pair` one by one.
-    """
-    decimals = values.copy()
-    for i in ratios:
-        decimals[i] = "0"  # read by parse_pair below
-    numerators = list(map(int, map(str.replace, decimals, repeat("."), repeat(""))))
-    places = map(len, map(itemgetter(2), map(str.partition, values, repeat("."))))
-    denominators = list(map(_power_of_ten, places))
-    for i in ratios:
-        numerators[i], denominators[i] = parse_pair(values[i])
-    return numerators, denominators
 
 
 def balanced_fold(combine: Callable, items: Sequence):

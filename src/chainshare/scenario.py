@@ -23,8 +23,8 @@ A scenario is a UTF-8 JSON document::
     }
 
 Numbers are strings, either decimals ("0.6648") or integer ratios
-("6648/9984"), and are parsed exactly. Coalition values are read once,
-a column at a time, straight into the integer-pair
+("6648/9984"), and are parsed exactly. Coalition values are read in
+one pass over the entries, straight into the integer-pair
 :class:`~chainshare.game.ValueTable` that the game built from the
 scenario uses as it is. ``factors`` and ``ahp`` are mutually exclusive;
 an alternatives entry is a player->score map of direct normalized scores
@@ -36,12 +36,9 @@ from __future__ import annotations
 
 import functools
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from itertools import repeat
-from operator import setitem
 from pathlib import Path
 from typing import Mapping
 
@@ -49,7 +46,7 @@ from .adjust import MODES, AdjustmentFactors, compute_deltas
 from .ahp import METHODS, ComparisonMatrix, CriteriaHierarchy, WeightVector, synthesize_factors
 from .errors import ChoiceError, FloatRangeError, IdentifierError, MatrixValidationError, NumberError, ScenarioError
 from .game import CharacteristicFunction, PlayerSet, ValueTable, _unique_labels
-from .rational import exact_string, parse_pair, plain_pairs, plain_ratios
+from .rational import exact_string, parse_pair
 
 
 @dataclass(frozen=True)
@@ -67,11 +64,10 @@ class ScenarioFile:
     """Fully validated scenario content, numbers held exactly.
 
     A parsed scenario's ``coalition_values`` is a read-only
-    :class:`~chainshare.game.ValueTable`: Fractions keyed by coalition mask.
-    The parser reads it a column at a time (every entry's members, then
-    every value) when all entries are plain, and entry by entry otherwise;
-    both give the same integer pairs, or the same error. ``player_set`` is
-    built once, or kept from the parse that validated ``players``.
+    :class:`~chainshare.game.ValueTable`: Fractions keyed by coalition mask,
+    held as the integer pairs the parser read, one entry at a time.
+    ``player_set`` is built once, or kept from the parse that validated
+    ``players``.
     """
 
     players: tuple[str, ...]
@@ -150,80 +146,45 @@ def _parse_players(doc: dict) -> PlayerSet:
         raise ScenarioError("missing required field", "players")
     if not isinstance(players, list):
         raise ScenarioError("must be a non-empty list of identifiers", "players")
-    return _at("players", PlayerSet, tuple(players))
+    return _at("players", PlayerSet, players)
+
+
+_ENTRY_KEYS = frozenset({"members", "value"})
 
 
 def _parse_coalitions(doc: dict, players: PlayerSet) -> ValueTable:
-    """The coalitions' values, read in columns when every entry is plain, else
-    entry by entry: one table or one error for a document either way. Both
-    readers look names up in the player set's ``bits``."""
+    """The coalitions' values, read in one pass: the first error in document
+    order, at its entry's locus, or the table.
+
+    Each member list's mask is one sum of the player set's ``bits``; only a
+    list that sum refuses (an unknown or unhashable name, an empty list, a
+    repeated member, a coalition given twice) goes through
+    :meth:`ValueTable.mask_for`, which words the error.
+    """
     coalitions = doc.get("coalitions")
     if coalitions is None:
         raise ScenarioError("missing required field", "coalitions")
     if not isinstance(coalitions, list) or not coalitions:
         raise ScenarioError("must be a non-empty list of {members, value} entries", "coalitions")
-    table = _read_columns(coalitions, players.bits, players.n)
-    if table is None:
-        table = _read_entries(coalitions, players.bits, players.n)
-    return table
-
-
-def _scatter(column, masks: list[int], items) -> None:
-    """``column[mask] = item`` for each pair, with no Python step per pair."""
-    deque(map(setitem, repeat(column), masks, items), maxlen=0)
-
-
-def _read_columns(coalitions: list, bits: dict[str, int], n: int) -> ValueTable | None:
-    """The table, read a column at a time, when every entry is a dict of a
-    list of known members, none repeated, and a value :func:`plain_ratios`
-    accepts, and no coalition is given twice; else None.
-
-    No step runs in Python once per entry. On success ``coalitions``, the
-    parser's own list, is emptied, so that its entries are freed before the
-    values are read; on None it is untouched, for :func:`_read_entries`.
-    """
-    try:  # dict.__getitem__ refuses an entry that is not a dict
-        members = list(map(dict.__getitem__, coalitions, repeat("members")))
-        values = list(map(dict.__getitem__, coalitions, repeat("value")))
-    except (KeyError, TypeError):
-        return None
-    ratios = plain_ratios(values)
-    if ratios is None or set(map(len, coalitions)) != {2}:  # a value not plain, or a key besides the two
-        return None
-    try:  # list.__iter__ refuses members that are not a list
-        masks = list(map(sum, map(map, repeat(bits.__getitem__), map(list.__iter__, members))))
-    except (KeyError, TypeError):  # or an unknown or unhashable name
-        return None
-    # An empty list gives mask 0. A mask's bit count is at most its list's
-    # length, and equal unless a member repeats, so equal totals mean that no
-    # member repeats anywhere.
-    if 0 in masks or sum(map(int.bit_count, masks)) != sum(map(len, members)):
-        return None
-    table = ValueTable(n)
-    _scatter(table.denominators, masks, repeat(1))
-    if len(table) != len(masks):  # a coalition given twice
-        return None
-    coalitions.clear()
-    del members
-    for column, read in zip((table.numerators, table.denominators), plain_pairs(values, ratios)):
-        _scatter(column, masks, read)
-    return table
-
-
-def _read_entries(coalitions: list, bits: dict[str, int], n: int) -> ValueTable:
-    """The table, read one entry at a time, each entry's members through
-    :meth:`ValueTable.mask_for`: the first error in document order, for a
-    document :func:`_read_columns` refuses."""
-    table = ValueTable(n)
+    bits, table = players.bits, ValueTable(players.n)
+    numerators, denominators = table.numerators, table.denominators
     try:  # around the loop, not per entry: the locus is built only to raise
         for i, entry in enumerate(coalitions):
-            if not isinstance(entry, dict) or entry.keys() != {"members", "value"}:
+            if not isinstance(entry, dict) or entry.keys() != _ENTRY_KEYS:
                 raise ScenarioError("each coalition needs exactly the keys 'members' and 'value'", f"coalitions[{i}]")
             members = entry["members"]
             if not isinstance(members, list):
                 raise ScenarioError("members must be a non-empty list", f"coalitions[{i}].members")
-            mask = table.mask_for(bits, members)
-            table.numerators[mask], table.denominators[mask] = _number_pair(entry["value"])
+            try:
+                mask = sum(map(bits.__getitem__, members))
+            except (KeyError, TypeError):
+                mask = 0
+            # A repeated member leaves fewer bits than names, and may carry
+            # past bit n-1, so the slot is read last.
+            if not mask or mask.bit_count() != len(members) or denominators[mask]:
+                mask = table.mask_for(bits, members)
+            value = entry["value"]
+            numerators[mask], denominators[mask] = parse_pair(value) if type(value) is str else _number_pair(value)
     except (IdentifierError, NumberError) as exc:
         part = "members" if isinstance(exc, IdentifierError) else "value"
         raise ScenarioError(str(exc), f"coalitions[{i}].{part}") from None

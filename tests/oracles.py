@@ -2,7 +2,9 @@
 
 These deliberately avoid the package's bitmask enumeration: coalitions
 are frozensets of names, Shapley values are averaged over explicit
-arrival orders, and the adjusted formula is evaluated term by term.
+arrival orders, and the adjusted formula is evaluated term by term. The
+scenario's coalition reader is checked against the plainest reader of
+the same rules, one member check and one number read per entry.
 """
 
 from __future__ import annotations
@@ -11,6 +13,10 @@ import itertools
 import random
 from fractions import Fraction
 from math import factorial, lcm
+
+from chainshare.errors import IdentifierError, NumberError, ScenarioError
+from chainshare.game import ValueTable
+from chainshare.scenario import _number_pair
 
 GameTable = dict[frozenset, Fraction]
 
@@ -94,6 +100,29 @@ def superadditivity_violations(
                 if rank(left) < rank(right) and values[union] < values[left] + values[right]:
                     found.append((left, right, values[left], values[right], values[union]))
     return sorted(found, key=lambda v: (rank(v[0] | v[1]), -rank(v[0])))
+
+
+def entry_by_entry_coalitions(coalitions: list, bits: dict[str, int], n: int) -> ValueTable:
+    """A scenario's ``coalitions`` list read one entry at a time, each
+    entry's members through :meth:`ValueTable.mask_for` and its value
+    through the parser's number reader: the table, or the first error in
+    document order at its entry's locus."""
+    table = ValueTable(n)
+    for i, entry in enumerate(coalitions):
+        if not isinstance(entry, dict) or entry.keys() != {"members", "value"}:
+            raise ScenarioError("each coalition needs exactly the keys 'members' and 'value'", f"coalitions[{i}]")
+        members = entry["members"]
+        if not isinstance(members, list):
+            raise ScenarioError("members must be a non-empty list", f"coalitions[{i}].members")
+        try:
+            mask = table.mask_for(bits, members)
+        except IdentifierError as exc:
+            raise ScenarioError(str(exc), f"coalitions[{i}].members") from None
+        try:
+            table.numerators[mask], table.denominators[mask] = _number_pair(entry["value"])
+        except NumberError as exc:
+            raise ScenarioError(str(exc), f"coalitions[{i}].value") from None
+    return table
 
 
 def mixed_value(rng: random.Random) -> str:

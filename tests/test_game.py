@@ -8,8 +8,16 @@ import numpy as np
 import pytest
 
 from chainshare import game as game_module
-from chainshare.adjust import weighted_value_sums
-from chainshare.errors import EnumerationBoundError, IdentifierError, IncompleteGameError, InputTypeError, NumberError
+from chainshare.adjust import compute_deltas, weighted_value_sums
+from chainshare.ahp import ComparisonMatrix, WeightVector
+from chainshare.errors import (
+    AlignmentError,
+    EnumerationBoundError,
+    IdentifierError,
+    IncompleteGameError,
+    InputTypeError,
+    NumberError,
+)
 from chainshare.game import (
     CharacteristicFunction,
     Coalition,
@@ -249,6 +257,15 @@ def test_a_bare_string_names_one_player_everywhere():
         CharacteristicFunction.from_values(ps, {"sup1": 1, ("sup1",): 1})
     with pytest.raises(IdentifierError, match="^unknown player 'sup'$"):
         game("sup")
+    # A bare string given as the players or labels is one label too: PlayerSet,
+    # from_values, compute_deltas and the AHP constructors once read "AB" as ('A', 'B')
+    assert PlayerSet("AB").players == ("AB",)
+    game = CharacteristicFunction.from_values("AB", {"AB": "1.5"})
+    assert game.player_set.players == ("AB",) and game("AB") == Fraction(3, 2)
+    assert compute_deltas(["1"], "AB").player_set.players == ("AB",)
+    with pytest.raises(AlignmentError, match="^expected 1 factors, got 2$"):
+        compute_deltas(["0.5", "0.5"], "AB")
+    assert ComparisonMatrix("AB", [[1]]).labels == WeightVector("AB", (1.0,)).labels == ("AB",)
 
 
 def test_a_mask_follows_the_coalition_rule(case_game):

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 from chainshare.errors import NumberError
 from chainshare.rational import (
-    _NOT_PLAIN_LINE,
-    _PLAIN,
     MAX_DIGITS,
     balanced_fold,
     exact_decimal,
@@ -20,8 +18,6 @@ from chainshare.rational import (
     format_fixed,
     parse_pair,
     parse_rational,
-    plain_pairs,
-    plain_ratios,
 )
 
 from .oracles import fraction_format_fixed
@@ -82,9 +78,8 @@ def _outcome(read, value):
 
 
 @settings(max_examples=400, deadline=2000)
-@given(text=number_texts, others=st.lists(number_texts, max_size=3))
-def test_pair_reader_reads_what_fraction_reads(text, others):
-    _column_reader_reads_what_the_pair_reader_reads([text, *others])
+@given(text=number_texts)
+def test_pair_reader_reads_what_fraction_reads(text):
     try:
         expected = Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
@@ -99,28 +94,6 @@ def test_pair_reader_reads_what_fraction_reads(text, others):
         assert "digits" in got and (len(text) > MAX_DIGITS or "e" in text.lower())
 
 
-def _column_reader_reads_what_the_pair_reader_reads(texts: list[str]) -> None:
-    """The line pattern accepts exactly the lines _PLAIN accepts, alone and
-    joined, and plain_pairs reads the pairs parse_pair reads."""
-    for text in (texts[0], "\n".join(texts)):
-        assert (_NOT_PLAIN_LINE(text) is None) == all(map(_PLAIN, text.split("\n")))
-    ratios = plain_ratios(texts)
-    assert (ratios is not None) == all(len(text) <= MAX_DIGITS and _PLAIN(text) for text in texts)
-    if ratios is not None:
-        assert ratios == [i for i, text in enumerate(texts) if "/" in text]
-        numerators, denominators = plain_pairs(texts, ratios)
-        assert list(zip(numerators, denominators)) == list(map(parse_pair, texts))
-
-
-@pytest.mark.parametrize(
-    "texts",
-    [["1\n2"], ["1", "2\n3"], ["1", ""], ["5", "1/0"], ["3/-4"], ["+1"], ["1", " 2.5"], ["1."], [".5"], ["1e3"],
-     ["١٢"], ["1_0"], ["1", "9" * (MAX_DIGITS + 1)], [], ["1", 2]],
-)
-def test_column_reader_takes_only_one_plain_string_a_line(texts):
-    assert plain_ratios(texts) is None
-
-
 @pytest.mark.parametrize(
     "text,pair",
     [("1.50", (150, 100)), ("-0.5", (-5, 10)), ("-0", (0, 1)), ("007", (7, 1)), ("6/4", (6, 4)), ("0/5", (0, 5)),
@@ -128,7 +101,6 @@ def test_column_reader_takes_only_one_plain_string_a_line(texts):
 )
 def test_pair_reader_keeps_plain_strings_unreduced(text, pair):
     assert parse_pair(text) == pair
-    assert plain_pairs([text, "1/2"], plain_ratios([text, "1/2"])) == ([pair[0], 1], [pair[1], 2])
 
 
 def test_parse_rational_rejects_bools_and_objects():

@@ -1,4 +1,3 @@
-import copy
 import json
 import random
 from collections.abc import Mapping, MutableMapping
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 from chainshare import scenario as scenario_module
 from chainshare.adjust import adjusted_shapley
 from chainshare.errors import EnumerationBoundError, IdentifierError, IncompleteGameError, NumberError, ScenarioError
-from chainshare.game import ENUMERATION_MAX_PLAYERS, CharacteristicFunction, PlayerSet
+from chainshare.game import ENUMERATION_MAX_PLAYERS, CharacteristicFunction, PlayerSet, ValueTable
 from chainshare.rational import MAX_DIGITS, exact_string, parse_rational
 from chainshare.scenario import (
     AhpBlock,
@@ -25,7 +24,7 @@ from chainshare.scenario import (
     serialize_scenario,
 )
 
-from .oracles import mixed_value
+from .oracles import entry_by_entry_coalitions, mixed_value
 from .strategies import scenario_numbers, scenario_texts
 
 MINIMAL = {
@@ -518,14 +517,14 @@ def test_coalition_values_read_what_fraction_reads_and_fail_at_their_locus(raw):
             assert type(got) is Fraction and got == expected
 
 
-# --- the column reader against the entry reader ----------------------------
+# --- the coalition reader against the entry-by-entry reference ---------------
 
 COLUMN_PLAYERS = ("A", "B", "C", "D")
 WIDE_PLAYERS = tuple(f"p{i}" for i in range(ENUMERATION_MAX_PLAYERS + 2))  # a sparse table
 _decimals = st.builds(lambda whole, places: f"{whole}.{places}" if places else str(whole),
                       st.integers(-(10**6), 10**6), st.sampled_from(["", "5", "25", "001", "50"]))
 _ratios = st.builds(lambda p, q: f"{p}/{q}", st.integers(0, 10**6), st.sampled_from([1, 3, 4, 7, 10, 97]))
-# Values the column reader must leave to the entry reader, and what it must read the same.
+# Values at and past the edges of the plain grammar and of MAX_DIGITS, and values that are not strings.
 _ODD_VALUES = st.sampled_from([
     7, -2, 10**MAX_DIGITS, True, False, 1.5, None, "1e3", " 1", "+1", "-3/4", "1/0", "١٢", "1\n2", "", "2/4",
     "9" * (MAX_DIGITS - 1), "9" * MAX_DIGITS, "9" * (MAX_DIGITS + 1), "-" + "9" * MAX_DIGITS,
@@ -576,7 +575,7 @@ def coalition_lists(draw) -> tuple[tuple[str, ...], list]:
 
 def _table_or_error(read, coalitions: list) -> tuple:
     try:
-        table = read(copy.deepcopy(coalitions))
+        table = read(coalitions)
     except ScenarioError as exc:
         return "error", str(exc), exc.locus
     return "table", table.numerators, table.denominators
@@ -589,26 +588,26 @@ def _table_or_error(read, coalitions: list) -> tuple:
 @example(case=(("A", "B"), [{"members": ["A", "A"], "value": "1"}]))
 @example(case=(("A", "B"), [{"members": ["A", "B"], "value": "1"}, {"members": ["B", "A"], "value": "2"}]))
 @example(case=(("A", "B"), [{"members": ["A"], "value": "1\n2"}, {"members": ["B"], "value": "+1"}]))
-def test_the_column_reader_reads_what_the_entry_reader_reads(case):
+def test_the_coalition_reader_reads_what_the_reference_reads(case):
     names, coalitions = case
     players = PlayerSet(names)
-    expected = _table_or_error(lambda cs: scenario_module._read_entries(cs, players.bits, players.n), coalitions)
+    expected = _table_or_error(lambda cs: entry_by_entry_coalitions(cs, players.bits, players.n), coalitions)
     got = _table_or_error(lambda cs: scenario_module._parse_coalitions({"coalitions": cs}, players), coalitions)
     assert got == expected
-    columns = copy.deepcopy(coalitions)
-    table = scenario_module._read_columns(columns, players.bits, players.n)
-    if table is None:
-        assert columns == coalitions  # left whole for the entry reader
-    else:
-        assert expected == ("table", table.numerators, table.denominators)
 
 
-def _entry_reader_refused(*args):
-    raise AssertionError("a plain table reached the entry reader")
+def _mask_for_refused(*args):
+    raise AssertionError("a plain table reached ValueTable.mask_for")
+
+
+NEGATIVE_RATIOS = {1: Fraction(1), 2: Fraction(-1, 3), 3: Fraction(5, 2), 4: Fraction(-22, 7), 5: Fraction(-1, 6),
+                   6: Fraction(2, -9), 7: Fraction(-4)}
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_plain_tables_never_reach_the_entry_reader(monkeypatch, seed):
+    """A plain document's member lists never go through the entry-wise
+    member check, ValueTable.mask_for, which the reader calls only to word an error."""
     rng = random.Random(seed)
     players = tuple(f"p{i}" for i in range(rng.randint(1, 7)))
     entries = []
@@ -628,20 +627,12 @@ def test_plain_tables_never_reach_the_entry_reader(monkeypatch, seed):
         {"ahp": {"criteria": ["k1", "k2"], "criteria_matrix": [["1", "2"], ["1/2", "1"]],
                  "alternatives": {"k1": uniform, "k2": uniform}}},
     ][seed % 3]
+    negative = ScenarioFile(players=("A", "B", "C"), coalition_values=NEGATIVE_RATIOS)
     texts = [json.dumps({"players": list(players), "coalitions": entries, **extra})]
     texts += [bundled_scenario(name).read_text(encoding="utf-8") for name in ("paper_case", "paper_ahp")]
+    texts.append(serialize_scenario(negative))  # signed ratios, serialized as "-1/3"
+    assert {"-1/3", "-22/7", "-1/6", "-2/9"} <= {entry["value"] for entry in json.loads(texts[-1])["coalitions"]}
     expected = [parse_scenario(text) for text in texts]
-    monkeypatch.setattr(scenario_module, "_read_entries", _entry_reader_refused)
+    assert expected[-1] == negative and dict(expected[-1].coalition_values) == NEGATIVE_RATIOS
+    monkeypatch.setattr(ValueTable, "mask_for", _mask_for_refused)
     assert [parse_scenario(text) for text in texts] == expected
-
-
-def test_a_serialized_table_of_negative_ratios_is_read_in_columns(monkeypatch):
-    values = {1: Fraction(1), 2: Fraction(-1, 3), 3: Fraction(5, 2), 4: Fraction(-22, 7), 5: Fraction(-1, 6),
-              6: Fraction(2, -9), 7: Fraction(-4)}
-    sf = ScenarioFile(players=("A", "B", "C"), coalition_values=values)
-    text = serialize_scenario(sf)
-    assert {"-1/3", "-22/7", "-1/6", "-2/9"} <= {entry["value"] for entry in json.loads(text)["coalitions"]}
-    monkeypatch.setattr(scenario_module, "_read_entries", _entry_reader_refused)
-    parsed = parse_scenario(text)
-    assert dict(parsed.coalition_values) == values
-    assert parsed == sf
