@@ -11,11 +11,12 @@ steps on one of two paths, picked from its input, on the caller's thread.
 A :class:`CharacteristicFunction` over the sampled players themselves,
 with 2**n no more than the permutations, takes the dense path,
 :func:`_dense_steps`: each step's key, prefix mask * n + player, is
-counted by ``np.bincount`` into one run-wide table of 2**n * n counts,
-and the game's value columns are read once. The rule is measured: where
-2**n is far above the permutations (16 players, 1,000 permutations),
-sorting the steps drawn beats a pass over a table of many more slots,
-and at the rule the table is at most n * 8 bytes per permutation.
+added by ``np.add.at`` into one run-wide table of 2**n * n counts, a
+chunk at a time, and the game's value columns are read once. The rule
+is measured: where 2**n is far above the permutations (16 players,
+1,000 permutations), sorting the steps drawn beats a pass over a table
+of many more slots, and at the rule the table is at most n * 8 bytes
+per permutation.
 
 Every other run takes the sort path, :func:`_sorted_steps`, one chunk at
 a time: :func:`_count_steps` counts a chunk's distinct steps by sorting,
@@ -56,8 +57,8 @@ DEFAULT_CHUNK_SIZE = 4096
 # 64 players and 7.6 at 130 (about 170 MiB at this bound and 64 players), and
 # one chunk is counted at a time, so plans are bounded. The dense path's count
 # table of 2**n * n int64s is at most n * 8 bytes per permutation under its
-# width rule, and counting into it peaks near 3.6 such tables at the default
-# chunk size and 4.5 at this bound (n = 16, 2**16 permutations).
+# width rule, and counting into it peaks near 1.7 such tables at the default
+# chunk size and 3.1 at this bound (n = 16, 2**16 permutations).
 MAX_CHUNK_SIZE = 65_536
 
 # An int64 holds every magnitude below 2**63.
@@ -409,18 +410,16 @@ def _dense_steps(game: CharacteristicFunction, plan: SamplingPlan):
 
     A step (prefix mask S, player i) has the key S * n + i, below 2**n * n.
     Each chunk is drawn by :func:`_draw`, its prefix masks are cumulative
-    sums of its players' bits, and its keys wait until the waiting chunks
-    hold at least 2**n * n of them; one ``np.bincount`` then adds them to
-    the run's table of 2**n * n int64 counts. The table's nonzero entries
-    are the run's distinct steps, in (mask, player) order. The game's two
-    value columns are read once, narrowed as :func:`_evaluate` narrows an
-    answer, and each step takes the values of its prefix plus player and of
-    its prefix, in blocks of at most ``_SUM_BLOCK`` steps.
+    sums of its players' bits, and ``np.add.at`` adds its keys in place to
+    the run's table of 2**n * n int64 counts, at a cost in keys, not in
+    table slots. The table's nonzero entries are the run's distinct steps,
+    in (mask, player) order. The game's two value columns are read once,
+    narrowed as :func:`_evaluate` narrows an answer, and each step takes
+    the values of its prefix plus player and of its prefix, in blocks of
+    at most ``_SUM_BLOCK`` steps.
     """
     n, m = game.n, plan.permutations
-    size = n << n
-    counts = np.zeros(size, np.int64)
-    waiting: list[np.ndarray] = []
+    counts = np.zeros(n << n, np.int64)
     for chunk_index, chunk_start in enumerate(range(0, m, plan.chunk_size)):
         count = min(plan.chunk_size, m - chunk_start)
         # a game has at most 20 players, so every key is below 2**25 and fits an int32
@@ -430,11 +429,7 @@ def _dense_steps(game: CharacteristicFunction, plan: SamplingPlan):
         keys -= bits
         keys *= n
         keys += perms
-        waiting.append(keys.ravel())
-        if sum(chunk.size for chunk in waiting) >= size or chunk_start + count == m:
-            keys = np.concatenate(waiting)
-            waiting.clear()
-            counts += np.bincount(keys, minlength=size)
+        np.add.at(counts, keys.ravel(), 1)
     steps = np.flatnonzero(counts)
     num, den = _narrow(np.array(game.values.numerators, object), np.array(game.values.denominators, object))
     for start in range(0, steps.size, _SUM_BLOCK):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -126,6 +127,20 @@ def test_matrix_validation_errors():
         ComparisonMatrix(labels(2), [[1, 2], [0.4, 1]])
     with pytest.raises(ValueError, match="unique"):
         ComparisonMatrix(("x", "x"), [[1, 1], [1, 1]])
+
+
+@pytest.mark.parametrize("entry", [0.0, -2.0, math.nan, math.inf])
+def test_dominant_eigen_refuses_an_entry_that_is_not_positive_and_finite(entry):
+    a = consistent_matrix((0.5, 0.3, 0.2))
+    a[0, 2] = entry
+    with pytest.raises(MatrixValidationError, match="strictly positive matrix"):
+        dominant_eigen(a)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (0, 0), (0,)])
+def test_dominant_eigen_refuses_a_matrix_that_is_not_square_or_is_empty(shape):
+    with pytest.raises(MatrixValidationError, match=re.escape(f"expected a square matrix, got shape {shape}")):
+        dominant_eigen(np.ones(shape))
 
 
 @pytest.mark.parametrize("seed", range(5))

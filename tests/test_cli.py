@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from chainshare import cli
 from chainshare.cli import build_parser, main
 from chainshare.report import FORMATS
 from chainshare.sampling import MAX_CHUNK_SIZE
-from chainshare.scenario import bundled_scenario
+from chainshare.scenario import bundled_scenario, load_scenario, scenario_hierarchy
 
 from .strategies import scenario_texts
 
@@ -138,6 +139,29 @@ def test_ahp_weights_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "criterion,weight"
     assert lines[1].startswith("innovation-investment,0.40")
+
+
+def test_ahp_weights_reports_each_alternative_matrix(tmp_path, capsys):
+    # criteria listed out of sorted order: two matrices and one score map
+    matrices = {
+        "z": [["1", "2", "4"], ["1/2", "1", "3"], ["1/4", "1/3", "1"]],
+        "a": [["1", "1/3", "1/5"], ["3", "1", "1/2"], ["5", "2", "1"]],
+    }
+    block = {
+        "criteria": ["z", "m", "a"],
+        "criteria_matrix": [["1", "2", "3"], ["1/2", "1", "2"], ["1/3", "1/2", "1"]],
+        "alternatives": {**matrices, "m": {"A": "1/2", "B": "1/4", "C": "1/4"}},
+    }
+    path = write_scenario(tmp_path, ["A", "B", "C"], ahp=block)
+    hierarchy = scenario_hierarchy(load_scenario(path))
+    code, out, _ = run(capsys, "ahp", "weights", path, "--format", "structured")
+    assert code == 0
+    consistency = json.loads(out)["ahp"]["score_consistency"]
+    assert list(consistency) == ["a", "z"]
+    assert consistency == {label: asdict(hierarchy.score_consistency[label]) for label in matrices}
+    code, out, _ = run(capsys, "ahp", "weights", path)
+    assert code == 0
+    assert [line.split(":")[0].strip() for line in out.splitlines() if " scores:" in line] == ["z scores", "a scores"]
 
 
 def test_ahp_synthesize(capsys):
@@ -315,6 +339,12 @@ def assert_one_error_line(code, out, err, *fragments):
     assert err.startswith("error:") and err.count("\n") == 1
     for fragment in fragments:
         assert fragment in err
+
+
+def test_a_malformed_factor_block_exits_one_with_one_error_line(tmp_path, capsys):
+    path = write_scenario(tmp_path, ["A", "B"], factors=["0.5", "0.5"])
+    code, out, err = run(capsys, "shapley", path)
+    assert_one_error_line(code, out, err, "error: factors: must map every player to a factor\n")
 
 
 def test_an_exact_value_too_long_to_print_exits_one(tmp_path, capsys):

@@ -585,7 +585,7 @@ def test_a_table_game_is_counted_densely_while_2_to_the_n_is_at_most_m(monkeypat
 @pytest.mark.parametrize("n, permutations", [(4, 16), (4, 17), (7, 128), (7, 129)])
 def test_the_dense_count_reports_what_the_calls_report(n, permutations, kind, chunk_size):
     # m = 2**n and 2**n + 1, the width rule's edge; with chunks of 1 and 7 a step's
-    # count builds up over many chunks, and past 2**n permutations over two bincounts
+    # count builds up over many chunks, each added into the run's one count table
     game = _table_game(n, (kind,), seed=permutations + chunk_size)
     plan = SamplingPlan(permutations, seed=chunk_size, chunk_size=chunk_size)
     report = sample_shapley(game, game.player_set, plan)
@@ -593,21 +593,23 @@ def test_the_dense_count_reports_what_the_calls_report(n, permutations, kind, ch
     assert sum(report.estimates, Fraction(0)) == game.grand_value
 
 
-def test_dense_counting_peaks_below_four_count_tables():
-    # the count table is 2**n * n int64s, n * 8 bytes per permutation at 2**n = m
+def test_dense_counting_peaks_below_two_count_tables_at_the_default_chunk():
+    # the count table is 2**n * n int64s, n * 8 bytes per permutation at 2**n = m;
+    # each chunk's keys are added into it in place, so a chunk's arrays are the rest
     n = 16
     players = PlayerSet(tuple(f"p{i}" for i in range(n)))
     game = CharacteristicFunction(players, {mask: mask % 1000 for mask in range(1, 1 << n)})
     small = _table_game(2, ("ratios",), seed=0)
     sample_shapley(small, small.player_set, SamplingPlan(8, seed=0))  # numpy's first-call setup is not counted
-    tracemalloc.start()
-    try:
-        report = sample_shapley(game, players, SamplingPlan(2**n, seed=16))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sum(report.estimates, Fraction(0)) == game.grand_value
-    assert peak <= 4 * 2**n * n * 8
+    for chunk_size, tables in [(DEFAULT_CHUNK_SIZE, 2), (MAX_CHUNK_SIZE, 3.5)]:
+        tracemalloc.start()
+        try:
+            report = sample_shapley(game, players, SamplingPlan(2**n, seed=16, chunk_size=chunk_size))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(report.estimates, Fraction(0)) == game.grand_value
+        assert peak <= tables * 2**n * n * 8, chunk_size
 
 
 def test_a_table_game_is_never_called(monkeypatch, case_game):

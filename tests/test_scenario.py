@@ -338,6 +338,25 @@ def test_ahp_block_validation():
     assert locus_of(err) == "ahp.alternatives.k1"
 
 
+@pytest.mark.parametrize(
+    "overrides, locus, message",
+    [
+        ({"ahp": {**AHP_BLOCK, "weights": []}}, "ahp", "unknown keys ['weights']"),
+        ({"ahp": {**AHP_BLOCK, "criteria": "k1"}}, "ahp.criteria", "must be a non-empty list of labels"),
+        ({"ahp": {**AHP_BLOCK, "alternatives": [["1"]]}}, "ahp.alternatives",
+         "must map every criterion to a matrix or a score map"),
+        ({"ahp": {**AHP_BLOCK, "alternatives": {**AHP_BLOCK["alternatives"], "k1": "0.5"}}}, "ahp.alternatives.k1",
+         "must be a matrix (list of rows) or a player->score map"),
+        ({"factors": ["0.5", "0.5"]}, "factors", "must map every player to a factor"),
+    ],
+)
+def test_malformed_ahp_and_factor_blocks_are_refused_at_their_locus(overrides, locus, message):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc(**overrides))
+    assert locus_of(err) == locus
+    assert str(err.value) == f"{locus}: {message}"
+
+
 def test_factors_and_ahp_are_exclusive():
     with pytest.raises(ScenarioError, match="at most one"):
         parse_scenario(doc(factors={"A": "0.5", "B": "0.5"}, ahp=AHP_BLOCK))
