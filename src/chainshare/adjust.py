@@ -156,6 +156,8 @@ def adjusted_shapley(
     """
     if mode not in MODES:
         raise ChoiceError(f"mode must be one of {MODES}, got {mode!r}")
+    if not isinstance(factors, AdjustmentFactors):
+        raise InputTypeError(f"factors are AdjustmentFactors, as compute_deltas returns, got {type(factors).__name__}")
     if factors.player_set != game.player_set:
         raise AlignmentError(
             f"factors are for players {factors.player_set.players}, "

@@ -231,12 +231,6 @@ class ValueTable(Mapping[int, Fraction]):
     def __repr__(self) -> str:
         return f"ValueTable({dict(self)!r})"
 
-    def pairs(self, masks: list[int]) -> tuple[list[int], list[int]]:
-        """The numerators and the denominators under ``masks``, in order, read in
-        bulk as they are held (maybe not in lowest terms, and (0, 1) for the
-        empty coalition of a table over every mask)."""
-        return list(map(self.numerators.__getitem__, masks)), list(map(self.denominators.__getitem__, masks))
-
     def mask_for(self, bits: Mapping[str, int], members) -> int:
         """The mask under which ``members`` take a value here, by a
         :class:`PlayerSet`'s ``bits``: a non-empty list of known players
@@ -288,7 +282,8 @@ class CharacteristicFunction:
     :class:`ValueTable` of integer pairs, and ``values`` is that table: a
     read-only Mapping of Fractions. A ValueTable over these players (as a
     parsed scenario holds) is used as it is; any other Mapping is read
-    into a new one.
+    into a new one, its keys taken as masks by the :class:`Coalition`
+    rule, the empty mask 0 excluded.
     """
 
     player_set: PlayerSet
@@ -301,9 +296,10 @@ class CharacteristicFunction:
         table = self.values
         if not isinstance(table, ValueTable) or table.n != n:
             table = ValueTable(n)
-            for mask, value in self.values.items():
-                if not isinstance(mask, int) or not 0 < mask < (1 << n):
-                    raise IdentifierError(f"coalition key {mask!r} is not a non-empty mask for {n} players")
+            for key, value in self.values.items():
+                mask = Coalition(self.player_set, key).mask
+                if not mask:
+                    raise IdentifierError("the empty coalition takes no value: it is worth 0")
                 table.numerators[mask], table.denominators[mask] = parse_pair(value)
             object.__setattr__(self, "values", table)
         if 0 in table.denominators:

@@ -6,26 +6,22 @@ chunks; chunk c draws its permutations from an RNG stream derived from
 (seed, c), so the output is a pure function of (oracle, players, plan).
 
 Chunk c is drawn by :func:`_draw`, and a run counts its (prefix, player)
-steps on one of two paths, picked from its input, on the caller's thread.
+steps on one of two paths, picked by the oracle's kind alone, on the
+caller's thread.
 
-A :class:`CharacteristicFunction` over the sampled players themselves,
-with 2**n no more than the permutations, takes the dense path,
-:func:`_dense_steps`: each step's key, prefix mask * n + player, is
-added by ``np.add.at`` into one run-wide table of 2**n * n counts, a
-chunk at a time, and the game's value columns are read once. The rule
-is measured: where 2**n is far above the permutations (16 players,
-1,000 permutations), sorting the steps drawn beats a pass over a table
-of many more slots, and at the rule the table is at most n * 8 bytes
-per permutation.
+A :class:`CharacteristicFunction` over the sampled players themselves
+takes the dense path, :func:`_dense_steps`: each step's key, prefix
+mask * n + player, is added by ``np.add.at`` into one run-wide table of
+2**n * n counts, a chunk at a time, and the game's two value columns
+are read once. The table is 2**n * n int64s whatever the permutations,
+160 MiB at the 20-player cap of a game.
 
-Every other run takes the sort path, :func:`_sorted_steps`, one chunk at
-a time: :func:`_count_steps` counts a chunk's distinct steps by sorting,
-and :func:`_merge_chunk` finds the chunk's coalitions in the run's one
-coalition table, has :func:`_evaluate` answer the coalitions new to the
-run, and gives each step the values of its two coalitions; no step is
-probed one by one in Python. A table game that fails the width rule is
-read from its value table, one read per chunk; any other oracle is asked
-once per new coalition, in ascending mask order.
+Every other oracle takes the sort path, :func:`_sorted_steps`, one chunk
+at a time: :func:`_count_steps` counts a chunk's distinct steps by
+sorting, and :func:`_merge_chunk` finds the chunk's coalitions in the
+run's one coalition table, has :func:`_evaluate` ask the oracle once per
+coalition new to the run, in ascending mask order, and gives each step
+the values of its two coalitions; no step is probed one by one in Python.
 
 On both paths :func:`_sum_block` adds the steps' marginals to each
 player's integer sums per denominator, and only those sums become
@@ -45,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FloatRangeError, OracleError, SamplingPlanError
+from .errors import FloatRangeError, InputTypeError, OracleError, SamplingPlanError
 from .game import CharacteristicFunction, Coalition, PlayerSet
 from .rational import balanced_fold, parse_pair
 
@@ -55,10 +51,10 @@ DEFAULT_CHUNK_SIZE = 4096
 
 # Counting a chunk peaks at about 5.4 arrays of chunk size x n 8-byte words at
 # 64 players and 7.6 at 130 (about 170 MiB at this bound and 64 players), and
-# one chunk is counted at a time, so plans are bounded. The dense path's count
-# table of 2**n * n int64s is at most n * 8 bytes per permutation under its
-# width rule, and counting into it peaks near 1.7 such tables at the default
-# chunk size and 3.1 at this bound (n = 16, 2**16 permutations).
+# one chunk is counted at a time, so plans are bounded. The dense path adds a
+# chunk's keys into its count table of 2**n * n int64s, and at 16 players and
+# 2**16 permutations the run peaks near 1.7 such tables at the default chunk
+# size and 3.1 at this bound.
 MAX_CHUNK_SIZE = 65_536
 
 # An int64 holds every magnitude below 2**63.
@@ -259,40 +255,30 @@ def _bits(column: np.ndarray) -> int:
     return max(int(column.max()), -int(column.min())).bit_length()
 
 
-def _narrow(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Each column of Python ints as int64 where every magnitude is below 2**63, and as it is otherwise."""
-    return tuple(c.astype(np.int64) if _bits(c) <= _INT64_BITS else c for c in columns)
-
-
-def _is_table_game(oracle: Callable, players: PlayerSet) -> bool:
-    """Whether ``oracle`` is a :class:`CharacteristicFunction` (not a subclass) over ``players`` itself,
-    whose value table is read instead of calling it."""
-    return type(oracle) is CharacteristicFunction and oracle.player_set == players
+def _column(values) -> np.ndarray:
+    """A sequence of ints as int64, or as Python ints where one is outside the int64 range."""
+    try:
+        return np.array(values, np.int64)
+    except OverflowError:
+        return np.array(values, object)
 
 
 def _evaluate(oracle: Callable, players: PlayerSet, keys: np.ndarray, permutations: np.ndarray):
     """The oracle's answers for the coalitions of ``keys``, in that order.
 
-    A :class:`CharacteristicFunction` (not a subclass) over ``players``
-    itself is not called: the pairs its table holds for the keys' masks are
-    read in one bulk read, and may be unreduced. Any other oracle is called once
-    per key, in order, and a failure names the answer's entry of
-    ``permutations``. Returns a numerator and a denominator column, int64
-    where every answer fits and Python ints otherwise.
+    The oracle is called once per key, in order, and a failure names the
+    answer's entry of ``permutations``. Returns a numerator and a
+    denominator column, each read by :func:`_column`.
     """
-    if _is_table_game(oracle, players):
-        # a game has at most 20 players, so each key is one big-endian word
-        num, den = (np.array(column, object) for column in oracle.values.pairs(keys.view(">u8").tolist()))
-    else:
-        num, den = np.empty(keys.size, object), np.empty(keys.size, object)
-        masks, size = keys.tobytes(), keys.itemsize
-        for k in range(keys.size):
-            mask = int.from_bytes(masks[k * size : (k + 1) * size], "big")
-            try:
-                num[k], den[k] = parse_pair(oracle(Coalition(players, mask)))
-            except Exception as exc:
-                raise OracleError(int(permutations[k]), exc) from exc
-    return _narrow(num, den)
+    num, den = [0] * keys.size, [0] * keys.size
+    masks, size = keys.tobytes(), keys.itemsize
+    for k in range(keys.size):
+        mask = int.from_bytes(masks[k * size : (k + 1) * size], "big")
+        try:
+            num[k], den[k] = parse_pair(oracle(Coalition(players, mask)))
+        except Exception as exc:
+            raise OracleError(int(permutations[k]), exc) from exc
+    return _column(num), _column(den)
 
 
 def _merge_chunk(table: _SortedKeys, oracle: Callable, players: PlayerSet, chunk_start: int, counted):
@@ -413,10 +399,9 @@ def _dense_steps(game: CharacteristicFunction, plan: SamplingPlan):
     sums of its players' bits, and ``np.add.at`` adds its keys in place to
     the run's table of 2**n * n int64 counts, at a cost in keys, not in
     table slots. The table's nonzero entries are the run's distinct steps,
-    in (mask, player) order. The game's two value columns are read once,
-    narrowed as :func:`_evaluate` narrows an answer, and each step takes
-    the values of its prefix plus player and of its prefix, in blocks of
-    at most ``_SUM_BLOCK`` steps.
+    in (mask, player) order. The game's two value columns are read once
+    by :func:`_column`, and each step takes the values of its prefix plus
+    player and of its prefix, in blocks of at most ``_SUM_BLOCK`` steps.
     """
     n, m = game.n, plan.permutations
     counts = np.zeros(n << n, np.int64)
@@ -431,7 +416,7 @@ def _dense_steps(game: CharacteristicFunction, plan: SamplingPlan):
         keys += perms
         np.add.at(counts, keys.ravel(), 1)
     steps = np.flatnonzero(counts)
-    num, den = _narrow(np.array(game.values.numerators, object), np.array(game.values.denominators, object))
+    num, den = _column(game.values.numerators), _column(game.values.denominators)
     for start in range(0, steps.size, _SUM_BLOCK):
         step = steps[start : start + _SUM_BLOCK]
         prefix, player = np.divmod(step, n)
@@ -451,12 +436,10 @@ def sample_shapley(
     ``oracle`` is a pure callable from :class:`Coalition` to a value
     (int, Fraction, Decimal, decimal string, or float). A
     :class:`chainshare.game.CharacteristicFunction` whose player set is
-    ``players`` is not called: its value table's exact pairs are read in
-    bulk. With 2**n no more than the permutations, its steps are counted in
-    one run-wide table of 2**n * n counts and its value columns are read
-    once; otherwise its steps are counted by sorting and its pairs read once
-    per chunk. Any other oracle, a subclass of the game or a
-    game over another player set included, is called on the calling thread
+    ``players`` is not called: its steps are counted in one run-wide table
+    of 2**n * n counts, whatever the permutations, and its value table's
+    exact pairs are read once. Any other oracle, a subclass of the game or
+    a game over another player set included, is called on the calling thread
     only, once per distinct coalition, so it need not be thread-safe: chunk
     by chunk, on the coalitions the chunk needs that no earlier chunk did,
     in ascending mask order. If it raises, :class:`OracleError` names the
@@ -467,12 +450,16 @@ def sample_shapley(
     that pass it, and the report does not depend on it.
     """
     _check_count(workers, 1, math.inf, "worker count must be an int >= 1")
+    if not isinstance(players, PlayerSet) or not isinstance(plan, SamplingPlan):
+        raise InputTypeError(
+            f"players are a PlayerSet and plan a SamplingPlan, got {type(players).__name__} and {type(plan).__name__}"
+        )
     n, m = players.n, plan.permutations
     # Sums are kept per denominator, not over one lcm of the whole table:
     # with a distinct prime denominator per coalition that lcm makes every
     # marginal an int of thousands of digits.
     sums: list[dict[int, list[int]]] = [{} for _ in range(n)]
-    dense = _is_table_game(oracle, players) and 1 << n <= m
+    dense = type(oracle) is CharacteristicFunction and oracle.player_set == players
     for block in _dense_steps(oracle, plan) if dense else _sorted_steps(oracle, players, plan):
         _sum_block(sums, n, m, *block)
     totals = [balanced_fold(add, [Fraction(t, d) for d, (t, _) in by_den.items()]) for by_den in sums]

@@ -83,6 +83,13 @@ FACTORS = compute_deltas(["0.5", "0.5"], GAME.player_set)
     (errors.InputTypeError, lambda: GAME(np.array(3.0))),
     (errors.InputTypeError, lambda: compute_deltas(["1"], 1.5)),
     (errors.InputTypeError, lambda: compute_deltas(["1"], None)),
+    (errors.InputTypeError, lambda: sample_shapley(GAME, ("A", "B"), SamplingPlan(5, seed=0))),
+    (errors.InputTypeError, lambda: sample_shapley(GAME, GAME.player_set, 5)),
+    (errors.InputTypeError, lambda: adjusted_shapley(GAME, ["0.5", "0.5"])),
+    (errors.InputTypeError, lambda: CharacteristicFunction(GAME.player_set, {True: 1, 2: 1, 3: 3})),
+    (errors.InputTypeError, lambda: CharacteristicFunction(GAME.player_set, {"1": 1, 2: 1, 3: 3})),
+    (errors.IdentifierError, lambda: CharacteristicFunction(GAME.player_set, {0: 0, 1: 1, 2: 1, 3: 3})),
+    (errors.IdentifierError, lambda: CharacteristicFunction(GAME.player_set, {1: 1, 2: 1, 3: 3, 4: 1})),
 ])
 def test_each_rule_raises_its_named_error(error, call):
     with pytest.raises(error):

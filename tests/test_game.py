@@ -205,6 +205,12 @@ def test_rejects_empty_coalition_key(case_game):
         CharacteristicFunction(case_game.player_set, {**case_game.values, 8: Fraction(1)})
 
 
+def test_a_numpy_integer_coalition_key_is_its_int(case_game):
+    # keys are read by the Coalition mask rule; an np.int64 key was once an IdentifierError
+    keys = {np.int64(mask): value for mask, value in case_game.values.items()}
+    assert CharacteristicFunction(case_game.player_set, keys).values == case_game.values
+
+
 def test_enumeration_bound():
     players = tuple(f"p{i}" for i in range(21))
     with pytest.raises(EnumerationBoundError) as err:

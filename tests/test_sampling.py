@@ -512,11 +512,15 @@ def test_answers_past_int64_after_chunks_of_int64_answers():
 
 def _table_value(rng: random.Random, kind: str):
     """A value as a scenario holds it: a 2-place decimal or a p/q ratio, kept
-    unreduced in the table, or an int past 2**63."""
+    unreduced in the table; an int past 2**63; or a numerator at an edge of
+    the int64 range over 1 or 2**63, so a value column is int64 with -2**63
+    in it, or Python ints for one entry past the range."""
     if kind == "decimals":
         return f"{rng.randint(-10**6, 10**6)}.{rng.randrange(100):02d}"
     if kind == "ratios":
         return f"{rng.randint(-999, 999)}/{rng.randint(1, 60)}"
+    if kind == "int64-edges":
+        return f"{rng.choice((2**63 - 1, -2**63, 2**63, -2**63 - 1))}/{rng.choice((1, 2**63))}"
     return rng.choice((-1, 1)) * (2**63 + rng.randrange(2**66))
 
 
@@ -531,7 +535,7 @@ def _table_game(n: int, kinds: tuple[str, ...], seed: int) -> CharacteristicFunc
 
 
 @pytest.mark.parametrize("chunk_size", [1, 7, 500])
-@pytest.mark.parametrize("kind", ["decimals", "ratios", "past-int64"])
+@pytest.mark.parametrize("kind", ["decimals", "ratios", "past-int64", "int64-edges"])
 def test_a_table_game_reports_what_its_calls_report(kind, chunk_size):
     # the table's pairs are read, not called for; "1.50" is held as (150, 100)
     game = _table_game(6, (kind,), seed=chunk_size)
@@ -547,7 +551,7 @@ def test_a_table_game_reports_what_its_calls_report(kind, chunk_size):
     permutations=st.integers(1, 120),
     chunk_size=st.sampled_from([1, 2, 7, 64, 4096]),
     seed=st.integers(0, 2**64 - 1),
-    kinds=st.sets(st.sampled_from(["decimals", "ratios", "past-int64"]), min_size=1).map(sorted).map(tuple),
+    kinds=st.sets(st.sampled_from(["decimals", "ratios", "past-int64", "int64-edges"]), min_size=1).map(sorted).map(tuple),
 )
 def test_any_table_game_reports_what_its_calls_report(n, permutations, chunk_size, seed, kinds):
     game = _table_game(n, kinds, seed=seed)
@@ -566,26 +570,24 @@ def _spy(monkeypatch, owner, name: str, calls: list) -> None:
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
-def test_a_table_game_is_counted_densely_while_2_to_the_n_is_at_most_m(monkeypatch, n):
+def test_a_table_game_is_counted_densely_at_every_m(monkeypatch, n):
+    # no size test picks the path: far below 2**n permutations as at and past it
     calls = []
     for owner, name in ((sampling, "_dense_steps"), (sampling, "_count_steps"), (sampling._SortedKeys, "add")):
         _spy(monkeypatch, owner, name, calls)
     game = _table_game(n, ("ratios",), seed=n)
-    for permutations in (2**n - 1, 2**n, 2**n + 1, 4 * 2**n):
+    for permutations in (1, 2**n - 1, 2**n, 4 * 2**n):
         calls.clear()
         sample_shapley(game, game.player_set, SamplingPlan(permutations, seed=n, chunk_size=3))
-        if 2**n <= permutations:
-            assert calls == ["_dense_steps"]
-        else:
-            assert "_dense_steps" not in calls and {"_count_steps", "add"} <= set(calls)
+        assert calls == ["_dense_steps"], permutations
 
 
 @pytest.mark.parametrize("chunk_size", [1, 7, 4096])
 @pytest.mark.parametrize("kind", ["decimals", "ratios", "past-int64"])
 @pytest.mark.parametrize("n, permutations", [(4, 16), (4, 17), (7, 128), (7, 129)])
 def test_the_dense_count_reports_what_the_calls_report(n, permutations, kind, chunk_size):
-    # m = 2**n and 2**n + 1, the width rule's edge; with chunks of 1 and 7 a step's
-    # count builds up over many chunks, each added into the run's one count table
+    # with chunks of 1 and 7 a step's count builds up over many chunks, each
+    # added into the run's one count table
     game = _table_game(n, (kind,), seed=permutations + chunk_size)
     plan = SamplingPlan(permutations, seed=chunk_size, chunk_size=chunk_size)
     report = sample_shapley(game, game.player_set, plan)
@@ -595,21 +597,22 @@ def test_the_dense_count_reports_what_the_calls_report(n, permutations, kind, ch
 
 def test_dense_counting_peaks_below_two_count_tables_at_the_default_chunk():
     # the count table is 2**n * n int64s, n * 8 bytes per permutation at 2**n = m;
-    # each chunk's keys are added into it in place, so a chunk's arrays are the rest
+    # each chunk's keys are added into it in place, so a chunk's arrays are the rest.
+    # One permutation still takes the whole table, plus the two value columns.
     n = 16
     players = PlayerSet(tuple(f"p{i}" for i in range(n)))
     game = CharacteristicFunction(players, {mask: mask % 1000 for mask in range(1, 1 << n)})
     small = _table_game(2, ("ratios",), seed=0)
     sample_shapley(small, small.player_set, SamplingPlan(8, seed=0))  # numpy's first-call setup is not counted
-    for chunk_size, tables in [(DEFAULT_CHUNK_SIZE, 2), (MAX_CHUNK_SIZE, 3.5)]:
+    for permutations, chunk_size, tables in [(2**n, DEFAULT_CHUNK_SIZE, 2), (2**n, MAX_CHUNK_SIZE, 3.5), (1, 1, 1.25)]:
         tracemalloc.start()
         try:
-            report = sample_shapley(game, players, SamplingPlan(2**n, seed=16, chunk_size=chunk_size))
+            report = sample_shapley(game, players, SamplingPlan(permutations, seed=16, chunk_size=chunk_size))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert sum(report.estimates, Fraction(0)) == game.grand_value
-        assert peak <= tables * 2**n * n * 8, chunk_size
+        assert peak <= tables * 2**n * n * 8, (permutations, chunk_size)
 
 
 def test_a_table_game_is_never_called(monkeypatch, case_game):
