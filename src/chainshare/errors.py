@@ -11,7 +11,8 @@ class ChainshareError(Exception):
 
 
 class IncompleteGameError(ChainshareError):
-    """A characteristic function is missing the value of some coalition."""
+    """A characteristic function is missing the value of some coalition, named
+    by its players, or by their bit positions ("#1") in a bare ValueTable."""
 
     def __init__(self, coalition: tuple[str, ...]):
         self.coalition = tuple(coalition)

@@ -14,8 +14,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, islice
-from operator import add, index, mul
+from operator import index, mul
 from typing import Iterable, Iterator, Mapping, NamedTuple
+
+import numpy as np
 
 from .errors import EnumerationBoundError, IdentifierError, IncompleteGameError, InputTypeError, NumberError
 from .rational import RationalLike, balanced_fold, parse_pair
@@ -26,6 +28,9 @@ ENUMERATION_MAX_PLAYERS = 20
 # denominator may need in all, at the denominator's width each: a larger
 # table takes seconds to build, and gigabytes from n = 14 on.
 MAX_SCALED_BITS = 1 << 31
+
+# An int64 holds every magnitude below 2**63.
+_INT64_BITS = 63
 
 
 def _unique_labels(labels: Iterable[str] | str, what: str) -> tuple[str, ...]:
@@ -180,6 +185,19 @@ def coalition_weight(n: int, s: int) -> Fraction:
     return Fraction(math.factorial(n - s) * math.factorial(s - 1), math.factorial(n))
 
 
+def _bits(column: np.ndarray) -> int:
+    """The bit length of the largest magnitude in ``column``, taken on Python ints, so -2**63 is 64 bits."""
+    return max(int(column.max()), -int(column.min())).bit_length()
+
+
+def _column(values) -> np.ndarray:
+    """A sequence of ints as int64, or as Python ints where one is outside the int64 range."""
+    try:
+        return np.array(values, np.int64)
+    except OverflowError:
+        return np.array(values, object)
+
+
 class _Sparse(dict):
     """Slots of a table past the enumeration bound: only the coalitions given."""
 
@@ -244,17 +262,33 @@ class ValueTable(Mapping[int, Fraction]):
             raise IdentifierError("duplicate coalition {" + ", ".join(named) + "}")
         return mask
 
-    def scaled(self) -> tuple[list[int], int]:
-        """v(S) * D by mask (0 for the empty coalition), and D, the lcm of
-        the denominators, for a table over every mask.
+    def scaled(self) -> tuple[np.ndarray, int]:
+        """x(S) = v(S) * D by mask (0 for the empty coalition), and D, the lcm
+        of the denominators, for a table over every mask.
 
-        Raises NumberError as soon as 2**n times the bits of D passes
-        ``MAX_SCALED_BITS``. The distinct denominators join by
+        x is an int64 column when no sum of x over coalitions of one size
+        can reach 2**63: every bucket of one size holds at most
+        C(n, n // 2) values, so bits(max |x|) + bits(C(n, n // 2)) <= 63
+        suffices. Otherwise it is an object column of Python ints. The
+        product numerator * (D // denominator) runs in int64 only when
+        bits(max |numerator|) + bits(D) <= 63, since no factor passes D.
+
+        Raises EnumerationBoundError past the enumeration bound, where the
+        table holds only the coalitions given, and IncompleteGameError
+        naming the first mask without a value, by its players' bit
+        positions. Raises NumberError as soon as 2**n times the bits of D
+        passes ``MAX_SCALED_BITS``. The distinct denominators join by
         :func:`balanced_fold` of pairwise lcms, and every lcm made is
         checked. Each divides D, so the verdict is D's; a refusal comes at
         the first subtree past the bound, with no lcm of a wide running
         value per denominator, which a one-by-one fold would take.
         """
+        if isinstance(self.denominators, dict):
+            raise EnumerationBoundError(self.n, ENUMERATION_MAX_PLAYERS)
+        denominators = set(self.denominators)
+        if 0 in denominators:
+            mask = self.denominators.index(0)
+            raise IncompleteGameError(tuple(f"#{i}" for i in range(self.n) if mask >> i & 1))
         limit = MAX_SCALED_BITS >> self.n
 
         def checked_lcm(a: int, b: int) -> int:
@@ -266,10 +300,19 @@ class ValueTable(Mapping[int, Fraction]):
                 )
             return scale
 
-        denominators = set(self.denominators)
         scale = balanced_fold(checked_lcm, list(denominators))
-        factor = {d: scale // d for d in denominators}
-        return list(map(mul, self.numerators, map(factor.__getitem__, self.denominators))), scale
+        x = _column(self.numerators)
+        bits = _bits(x) + scale.bit_length()  # bounds the bits of every x(S), as no factor passes D
+        if bits <= _INT64_BITS:
+            factors = np.array(self.denominators, np.int64)
+            x *= np.floor_divide(scale, factors, out=factors)
+        else:
+            x = x.astype(object) * (scale // np.array(self.denominators, object))
+        widest = math.comb(self.n, self.n // 2).bit_length()
+        if bits + widest > _INT64_BITS:
+            bits = _bits(x)
+        fits = bits + widest <= _INT64_BITS
+        return x.astype(np.int64 if fits else object, copy=False), scale
 
 
 @dataclass(frozen=True)
@@ -365,39 +408,67 @@ class Allocation:
         return dict(zip(self.player_set.players, self.payoffs))
 
 
-def _member_sums(table: list[int], n: int) -> list[int]:
-    """Per player i, the sum of ``table[mask]`` over the masks holding i.
+@functools.cache
+def _grid_layout(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The fixed arrays :func:`_size_sums` reads an n-player table with, per
+    side (rows by the high n - n // 2 players, then the transpose): the row
+    masks in size order and where each size starts, the flat index of each
+    row size and column (in that order) in an n + 1 by columns grid by
+    total size, and the columns' player bits with a last column of ones."""
+    low = n // 2
+    layout = []
+    for a, b in ((n - low, low), (low, n - low)):
+        # built as flat lists of Python ints: a numpy sort, a shift or a nested list
+        # would map more of numpy's code into the memory of every exact command
+        order = sorted(range(1 << a), key=int.bit_count)
+        sizes = [row.bit_count() for row in order]
+        starts = list(map(sizes.index, range(a + 1)))
+        place = [((p + column.bit_count()) << b) + column for p in range(a + 1) for column in range(1 << b)]
+        members = [column >> i & 1 if i < b else 1 for column in range(1 << b) for i in range(b + 1)]
+        layout.append((np.array(order), np.array(starts), np.array(place), np.array(members).reshape(-1, b + 1)))
+    return tuple(layout)
 
-    Folds the table in half n times: the upper half is the masks holding
-    the highest player left, and adding it onto the lower half drops that
-    player from every mask.
+
+def _size_sums(x: np.ndarray, n: int) -> tuple[list[int], list[list[int]]]:
+    """T[s], the sum of x(S) over the coalitions of size s, and per player i
+    the list of M[s], that sum over the S holding i, for s = 0..n.
+
+    Reads the table as a grid, rows by the high players and columns by the
+    low ones: sums the rows of each size, moves each sum to its total size
+    (row size plus column size), and multiplies by the columns' bits. The
+    transposed grid serves the high players. Every sum, partial or whole,
+    adds coalitions of one size only.
     """
-    sums = [0] * n
-    for i in reversed(range(n)):
-        upper = table[1 << i:]
-        sums[i] = sum(upper)
-        table = list(map(add, table[:1 << i], upper))
-    return sums
+    table = x.reshape(1 << (n - n // 2), 1 << (n // 2))
+    players = []
+    for grid, (order, starts, place, members) in zip((table, table.T), _grid_layout(n)):
+        by_size = np.zeros((n + 1, members.shape[0]), x.dtype)
+        by_size.put(place, np.add.reduceat(grid[order], starts, axis=0))
+        sums = by_size @ members
+        players += sums[:, :-1].T.tolist()
+    return sums[:, -1].tolist(), players  # either side's last column is T
 
 
 def _payoffs_and_levers(game: CharacteristicFunction) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Shapley payoffs and eq3 levers A_i from the game's scaled value table.
 
-    With D the lcm of the denominators, x(S) = v(S) * D is an int. With
-    c(s) = (n-s)!(s-1)! = n! W(s) and c(n+1) = 0, n! D A_i is the sum of
-    c(|S|) x(S) over the S holding i. Each S without i is S' \\ {i} for
-    one S' of size |S| + 1 holding i, so with b(S) = c(|S|+1) x(S),
-    n! D phi_i = n! D A_i - (sum of b over all S) + (sum of b over the S
-    holding i).
+    With D the lcm of the denominators, x(S) = v(S) * D is an int, and
+    :func:`_size_sums` gives T[s] and M[s][i] from it in int64 where
+    :meth:`ValueTable.scaled` allows. With c(s) = (n-s)!(s-1)! = n! W(s),
+    c(0) = c(n+1) = 0, n! D A_i is the sum over s of c(s) M[s][i]. Each S
+    without i is S' \\ {i} for one S' of size |S| + 1 holding i, so
+    n! D phi_i is the sum over s of c(s) M[s][i] - c(s+1) (T[s] - M[s][i]).
+    The weights, up to 57 bits at n = 20, multiply only these n**2 sums.
     """
     n = game.n
     scaled, scale = game.values.scaled()
+    totals, players = _size_sums(scaled, n)
+    del scaled  # 8 MiB at n = 20, not needed while the Fractions are built
     c = [0] + [math.factorial(n - s) * math.factorial(s - 1) for s in range(1, n + 1)] + [0]
-    sizes = list(map(int.bit_count, range(1 << n)))
-    levers = _member_sums(list(map(mul, map(c.__getitem__, sizes), scaled)), n)
-    after = list(map(mul, map(c[1:].__getitem__, sizes), scaled))
-    total = sum(after)
-    payoffs = [a - total + b for a, b in zip(levers, _member_sums(after, n))]
+    after = c[1:]
+    total = sum(map(mul, after, totals))
+    levers = [sum(map(mul, c, m)) for m in players]
+    payoffs = [a + sum(map(mul, after, m)) - total for a, m in zip(levers, players)]
     denominator = math.factorial(n) * scale
     return (tuple(Fraction(x, denominator) for x in payoffs),
             tuple(Fraction(x, denominator) for x in levers))
@@ -458,10 +529,12 @@ def validate_game(game: CharacteristicFunction) -> ValidationReport:
 
     Exhaustive over all unordered disjoint pairs, which is O(3**n);
     practical through roughly 14 players. Compares the values as ints
-    over their common denominator.
+    over their common denominator: the :meth:`ValueTable.scaled` column,
+    read once as a list of Python ints, since the pair loop indexes it
+    3**n times.
     """
     violations: list[SuperadditivityViolation] = []
-    scaled, _ = game.values.scaled()
+    scaled = game.values.scaled()[0].tolist()
     value = functools.cache(game.values.__getitem__)  # one Fraction per coalition its violations share
     n = game.n
     for union in range(1, 1 << n):

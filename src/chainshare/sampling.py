@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FloatRangeError, InputTypeError, OracleError, SamplingPlanError
-from .game import CharacteristicFunction, Coalition, PlayerSet
+from .game import _INT64_BITS, CharacteristicFunction, Coalition, PlayerSet, _bits, _column
 from .rational import balanced_fold, parse_pair
 
 _WORD_BITS = 64
@@ -56,9 +56,6 @@ DEFAULT_CHUNK_SIZE = 4096
 # 2**16 permutations the run peaks near 1.7 such tables at the default chunk
 # size and 3.1 at this bound.
 MAX_CHUNK_SIZE = 65_536
-
-# An int64 holds every magnitude below 2**63.
-_INT64_BITS = 63
 
 # Steps whose marginals are summed at a time: counted steps wait until this
 # many are due, and the sums' temporaries peak near fifteen columns of this
@@ -248,19 +245,6 @@ class _SortedKeys:
             new, old = self.arrays.pop(), self.arrays.pop()
             at = np.searchsorted(old[0], new[0])
             self.arrays.append(tuple(np.insert(a.astype(np.result_type(a, b), copy=False), at, b) for a, b in zip(old, new)))
-
-
-def _bits(column: np.ndarray) -> int:
-    """The bit length of the largest magnitude in ``column``, taken on Python ints, so -2**63 is 64 bits."""
-    return max(int(column.max()), -int(column.min())).bit_length()
-
-
-def _column(values) -> np.ndarray:
-    """A sequence of ints as int64, or as Python ints where one is outside the int64 range."""
-    try:
-        return np.array(values, np.int64)
-    except OverflowError:
-        return np.array(values, object)
 
 
 def _evaluate(oracle: Callable, players: PlayerSet, keys: np.ndarray, permutations: np.ndarray):

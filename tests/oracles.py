@@ -4,18 +4,23 @@ These deliberately avoid the package's bitmask enumeration: coalitions
 are frozensets of names, Shapley values are averaged over explicit
 arrival orders, and the adjusted formula is evaluated term by term. The
 scenario's coalition reader is checked against the plainest reader of
-the same rules, one member check and one number read per entry.
+the same rules, one member check and one number read per entry. The
+exact kernel's size sums over an int64 or object column are checked
+against a kernel on Python lists, which weights every scaled value by
+its size before folding the table in halves.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import factorial, lcm
+from operator import add, mul
 
 from chainshare.errors import IdentifierError, NumberError, ScenarioError
-from chainshare.game import ValueTable
+from chainshare.game import CharacteristicFunction, ValueTable
 from chainshare.scenario import _number_pair
 
 GameTable = dict[frozenset, Fraction]
@@ -100,6 +105,46 @@ def superadditivity_violations(
                 if rank(left) < rank(right) and values[union] < values[left] + values[right]:
                     found.append((left, right, values[left], values[right], values[union]))
     return sorted(found, key=lambda v: (rank(v[0] | v[1]), -rank(v[0])))
+
+
+def _member_sums(table: list[int], n: int) -> list[int]:
+    """Per player i, the sum of ``table[mask]`` over the masks holding i.
+
+    Folds the table in half n times: the upper half is the masks holding
+    the highest player left, and adding it onto the lower half drops that
+    player from every mask.
+    """
+    sums = [0] * n
+    for i in reversed(range(n)):
+        upper = table[1 << i:]
+        sums[i] = sum(upper)
+        table = list(map(add, table[:1 << i], upper))
+    return sums
+
+
+def list_payoffs_and_levers(game: CharacteristicFunction) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Shapley payoffs and eq3 levers A_i on Python lists of Python ints,
+    weighting every scaled value by its size before two halving folds.
+
+    With D the lcm of the denominators, x(S) = v(S) * D is an int. With
+    c(s) = (n-s)!(s-1)! = n! W(s) and c(n+1) = 0, n! D A_i is the sum of
+    c(|S|) x(S) over the S holding i. Each S without i is S' \\ {i} for
+    one S' of size |S| + 1 holding i, so with b(S) = c(|S|+1) x(S),
+    n! D phi_i = n! D A_i - (sum of b over all S) + (sum of b over the S
+    holding i).
+    """
+    n = game.n
+    scale = lcm(*game.values.denominators)
+    scaled = [v * (scale // d) for v, d in zip(game.values.numerators, game.values.denominators)]
+    c = [0] + [math.factorial(n - s) * math.factorial(s - 1) for s in range(1, n + 1)] + [0]
+    sizes = list(map(int.bit_count, range(1 << n)))
+    levers = _member_sums(list(map(mul, map(c.__getitem__, sizes), scaled)), n)
+    after = list(map(mul, map(c[1:].__getitem__, sizes), scaled))
+    total = sum(after)
+    payoffs = [a - total + b for a, b in zip(levers, _member_sums(after, n))]
+    denominator = math.factorial(n) * scale
+    return (tuple(Fraction(x, denominator) for x in payoffs),
+            tuple(Fraction(x, denominator) for x in levers))
 
 
 def entry_by_entry_coalitions(coalitions: list, bits: dict[str, int], n: int) -> ValueTable:

@@ -8,7 +8,7 @@ import chainshare
 from chainshare import errors
 from chainshare.adjust import adjusted_shapley, compute_deltas
 from chainshare.ahp import ComparisonMatrix, WeightVector, dominant_eigen, principal_weights
-from chainshare.game import CharacteristicFunction, Coalition, PlayerSet, coalition_weight
+from chainshare.game import CharacteristicFunction, Coalition, PlayerSet, ValueTable, coalition_weight
 from chainshare.rational import parse_rational
 from chainshare.report import ReportDocument, render
 from chainshare.sampling import SamplingPlan, sample_shapley
@@ -46,6 +46,14 @@ def test_named_errors_keep_their_builtin_base(name, builtin):
 
 GAME = CharacteristicFunction.from_values(("A", "B"), {("A",): 1, ("B",): 1, ("A", "B"): 3})
 FACTORS = compute_deltas(["0.5", "0.5"], GAME.player_set)
+
+
+def _table(n: int, values: dict[int, tuple[int, int]]) -> ValueTable:
+    """A value table of ``n`` players holding only ``values``: mask to (numerator, denominator)."""
+    table = ValueTable(n)
+    for mask, (numerator, denominator) in values.items():
+        table.numerators[mask], table.denominators[mask] = numerator, denominator
+    return table
 
 
 @pytest.mark.parametrize("error, call", [
@@ -90,10 +98,18 @@ FACTORS = compute_deltas(["0.5", "0.5"], GAME.player_set)
     (errors.InputTypeError, lambda: CharacteristicFunction(GAME.player_set, {"1": 1, 2: 1, 3: 3})),
     (errors.IdentifierError, lambda: CharacteristicFunction(GAME.player_set, {0: 0, 1: 1, 2: 1, 3: 3})),
     (errors.IdentifierError, lambda: CharacteristicFunction(GAME.player_set, {1: 1, 2: 1, 3: 3, 4: 1})),
+    (errors.EnumerationBoundError, lambda: _table(21, {3: (5, 2), 5: (7, 3)}).scaled()),
+    (errors.IncompleteGameError, lambda: _table(2, {1: (1, 1)}).scaled()),
 ])
 def test_each_rule_raises_its_named_error(error, call):
     with pytest.raises(error):
         call()
+
+
+def test_a_table_without_a_value_names_its_first_empty_slot_by_bit_position():
+    # masks 2 and 3 hold no value; mask 2 is player bit 1
+    with pytest.raises(errors.IncompleteGameError, match=r"no value for coalition \{#1\}$"):
+        _table(2, {1: (1, 1)}).scaled()
 
 
 @pytest.mark.parametrize("workers", [0, -2, 1.5, 2.0, "2", None, True, False])

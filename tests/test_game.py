@@ -6,8 +6,11 @@ from math import comb, gcd, lcm, prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainshare import game as game_module
+from chainshare import report
 from chainshare.adjust import compute_deltas, weighted_value_sums
 from chainshare.ahp import ComparisonMatrix, WeightVector
 from chainshare.errors import (
@@ -22,6 +25,8 @@ from chainshare.game import (
     CharacteristicFunction,
     Coalition,
     PlayerSet,
+    SuperadditivityViolation,
+    ValidationReport,
     ValueTable,
     coalition_weight,
     shapley_exact,
@@ -34,6 +39,7 @@ from chainshare.scenario import parse_scenario, scenario_game
 from .conftest import CASE_CLASSICAL, CASE_VALUES
 from .oracles import (
     as_from_values,
+    list_payoffs_and_levers,
     mixed_value,
     per_player_lever,
     permutation_shapley,
@@ -472,7 +478,8 @@ def test_a_20_player_table_of_two_place_decimals_passes_the_scale_bound():
     table.denominators = [1] + [10 ** (mask % 3) for mask in range(1, 1 << 20)]  # "7", "1.5", "12.34"
     scaled, scale = table.scaled()
     assert scale == 100
-    assert scaled[:4] == [0, 10, 2, 300] and scaled[-1] == ((1 << 20) - 1) * 100
+    assert scaled.dtype == np.int64
+    assert scaled[:4].tolist() == [0, 10, 2, 300] and scaled[-1] == ((1 << 20) - 1) * 100
 
 
 def _folded_scale(table: ValueTable) -> int | None:
@@ -528,4 +535,117 @@ def test_the_pairwise_scale_matches_the_one_by_one_fold(seed, monkeypatch):
             else:
                 scaled, scale = table.scaled()
                 assert scale == expected
-                assert scaled == [v * (scale // d) for v, d in zip(table.numerators, table.denominators)]
+                assert scaled.tolist() == [v * (scale // d) for v, d in zip(table.numerators, table.denominators)]
+
+
+def _edge_bits(n: int) -> int:
+    """The most bits a scaled value may have for the kernel to read int64 at n players."""
+    return 63 - comb(n, n // 2).bit_length()
+
+
+def _players(n: int) -> PlayerSet:
+    return PlayerSet(tuple(f"p{i}" for i in range(n)))
+
+
+# Four kinds of table: 2-place decimals; values at the bound of the
+# size-bucket guard, and values one bit wider, all of one sign at times so
+# that the widest bucket sums C(n, n // 2) of them (past the bound, that sum
+# passes 2**63 from n = 3 on); and distinct 20-digit denominators, whose lcm
+# scales nonzero values past any int64.
+KERNEL_KINDS = ("decimals", "edge", "past", "wide")
+
+
+@st.composite
+def kernel_tables(draw) -> ValueTable:
+    kind = draw(st.sampled_from(KERNEL_KINDS))
+    n = draw(st.integers(2 if kind == "wide" else 1, 8))
+    slots = (1 << n) - 1
+    table = ValueTable(n)
+    if kind == "decimals":
+        numerators = draw(st.lists(st.integers(-10**8, 10**8), min_size=slots, max_size=slots))
+        denominators = draw(st.lists(st.sampled_from((1, 10, 100)), min_size=slots, max_size=slots))
+    elif kind == "wide":
+        numerators = draw(st.lists(st.integers(-10**8, 10**8).filter(bool), min_size=slots, max_size=slots))
+        denominators = draw(st.lists(st.integers(10**19, 10**20 - 1), min_size=slots, max_size=slots, unique=True))
+    else:
+        top = (1 << (_edge_bits(n) + (kind == "past"))) - 1
+        if draw(st.booleans()):
+            numerators = [draw(st.sampled_from((top, -top)))] * slots
+        else:
+            numerators = draw(st.lists(st.sampled_from((top, -top)) | st.integers(-top, top),
+                                       min_size=slots, max_size=slots))
+            numerators[draw(st.integers(0, slots - 1))] = draw(st.sampled_from((top, -top)))
+        denominators = [1] * slots
+    table.numerators, table.denominators = [0] + numerators, [1] + denominators
+    return table
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_tables())
+def test_the_size_sums_kernel_matches_the_list_kernel(table):
+    n = table.n
+    scale = lcm(*table.denominators)
+    widest = max(abs(v) * (scale // d) for v, d in zip(table.numerators, table.denominators)).bit_length()
+    assert table.scaled()[0].dtype == (np.int64 if widest <= _edge_bits(n) else object)
+    game = CharacteristicFunction(_players(n), table)
+    assert game_module._payoffs_and_levers(game) == list_payoffs_and_levers(game)
+
+
+@pytest.mark.parametrize("n", [14, 20])
+def test_the_kernel_reads_int64_up_to_the_size_bucket_bound(n):
+    top = (1 << _edge_bits(n)) - 1
+    table = ValueTable(n)
+    table.numerators = [0] + [top] * ((1 << n) - 1)
+    table.denominators = [1] * (1 << n)
+    assert table.scaled()[0].dtype == np.int64
+    # the middle bucket sums C(n, n // 2) values of top, just below 2**63;
+    # with v(S) = top for every S, phi_i = top / n and A_i = top
+    payoffs, levers = game_module._payoffs_and_levers(CharacteristicFunction(_players(n), table))
+    assert payoffs == (Fraction(top, n),) * n and levers == (Fraction(top),) * n
+    table.numerators[-1] = top + 1
+    assert table.scaled()[0].dtype == object
+
+
+@pytest.mark.parametrize("numerators, denominators, dtype", [
+    # bits(|numerator|) + bits(D) = 63: the product runs in int64 and is exact,
+    # though the bucket guard then refuses 63-bit values
+    ([0, 2**32 - 1, 2**32 - 1, 1], [1, 2**31 - 1, 1, 1], object),
+    # 64: (2**33 - 1) * (2**31 - 1) passes 2**63, so it runs on Python ints
+    ([0, 2**33 - 1, 2**33 - 1, 1], [1, 2**31 - 1, 1, 1], object),
+    # numerator * D is 71 bits, but every x(S) is at most 41 bits: int64 after all
+    ([0, 2**40, 1, -(2**40)], [1, 2**30, 1, 2**30], np.int64),
+])
+def test_the_scaling_product_runs_in_int64_only_where_it_cannot_wrap(numerators, denominators, dtype):
+    table = ValueTable(2)
+    table.numerators, table.denominators = numerators, denominators
+    scaled, scale = table.scaled()
+    assert scale == lcm(*denominators)
+    assert scaled.dtype == dtype
+    assert scaled.tolist() == [v * (scale // d) for v, d in zip(numerators, denominators)]
+
+
+@pytest.mark.parametrize("kind", ["edge", "wide"])
+def test_validate_reports_alike_from_an_int64_or_a_python_int_column(kind):
+    rng = random.Random(kind)
+    n = 5
+    ps = _players(n)
+    table = ValueTable(n)
+    top = (1 << _edge_bits(n)) - 1
+    for mask in range(1, 1 << n):
+        if kind == "edge":
+            table.numerators[mask], table.denominators[mask] = rng.choice((top, -top, rng.randint(-top, top))), 1
+        else:
+            table.numerators[mask], table.denominators[mask] = rng.randint(-10**6, 10**6), 10**19 + 2 * mask + 1
+    assert table.scaled()[0].dtype == (np.int64 if kind == "edge" else object)
+    game = CharacteristicFunction(ps, table)
+    values = {frozenset(ps.members(mask)): Fraction(table[mask]) for mask in range(1, 1 << n)}
+    expected = ValidationReport(ps, tuple(
+        SuperadditivityViolation(ps.coalition(left), ps.coalition(right), *found)
+        for left, right, *found in superadditivity_violations(ps.players, values)
+    ))
+    assert len(expected.violations) > 10
+    got = validate_game(game)
+    for format in report.FORMATS:
+        rendered = [report.render(report.ReportDocument("validate", ps.players, (report.violations(r),), ok=r.ok), format)
+                    for r in (got, expected)]
+        assert rendered[0] == rendered[1]
