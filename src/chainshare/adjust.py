@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 from .errors import AlignmentError, ChoiceError, FactorSumError, InputTypeError, NumberError
 from .game import Allocation, CharacteristicFunction, PlayerSet, _payoffs_and_levers
-from .rational import RationalLike, parse_rational
+from .rational import RationalLike, parse_pair
 
 FACTOR_SUM_TOLERANCE = Fraction(1, 100)
 
@@ -52,14 +52,8 @@ class AdjustmentFactors:
 def _as_player_set(players: PlayerSet | Sequence[str] | int) -> PlayerSet:
     if isinstance(players, PlayerSet):
         return players
-    if isinstance(players, bool):
-        raise InputTypeError(f"a player count is an int, not a bool, got {players!r}")
-    if isinstance(players, int):
+    if isinstance(players, int) and not isinstance(players, bool):  # a bool goes on to the label rule, which refuses it
         return PlayerSet(tuple(f"p{i + 1}" for i in range(players)))
-    try:
-        iter(players)
-    except TypeError:
-        raise InputTypeError(f"players are a PlayerSet, a count or names, got {players!r}") from None
     return PlayerSet(players)
 
 
@@ -84,11 +78,10 @@ def compute_deltas(
         extra = [p for p in factors if p not in player_set.players]
         if missing or extra:
             raise AlignmentError(f"factor keys do not match players (missing {missing}, unexpected {extra})")
-        raw = [parse_rational(factors[p]) for p in player_set.players]
-    else:
-        if len(factors) != n:
-            raise AlignmentError(f"expected {n} factors, got {len(factors)}")
-        raw = [parse_rational(f) for f in factors]
+        factors = [factors[p] for p in player_set.players]
+    elif len(factors) != n:
+        raise AlignmentError(f"expected {n} factors, got {len(factors)}")
+    raw = [Fraction(*parse_pair(f)) for f in factors]
     for player, value in zip(player_set.players, raw):
         if value < 0:
             raise NumberError(f"factor for {player!r} is negative: {value}")

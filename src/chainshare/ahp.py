@@ -15,7 +15,6 @@ scores) synthesizes the per-player influence factors consumed by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
@@ -23,8 +22,8 @@ import numpy as np
 
 from .adjust import AdjustmentFactors, compute_deltas
 from .errors import (
-    AlignmentError, ChoiceError, ConsistencyGateError, IdentifierError, IterationLimitError, MatrixValidationError,
-    NumberError,
+    AlignmentError, ChainshareError, ChoiceError, ConsistencyGateError, IdentifierError, IterationLimitError,
+    MatrixValidationError, NumberError,
 )
 from .game import _unique_labels
 
@@ -38,12 +37,26 @@ POWER_MAX_ITERATIONS = 10_000
 METHODS = ("power", "geometric")  # the first is the default
 
 
+def _positive_floats(values, error: type[ChainshareError], message: str) -> np.ndarray:
+    """``values`` as a new float array whose entries are all finite and
+    strictly positive; ``error(message)`` for any entry that is not, and for
+    values numpy cannot read as floats (a ragged list, a string that is no number)."""
+    try:
+        a = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise error(message) from None
+    if not np.all((0 < a) & (a < np.inf)):  # NaN fails every comparison
+        raise error(message)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class ComparisonMatrix:
     """Reciprocal judgment matrix over labelled items.
 
     Entries are positive ratios (Saaty 1-9 scale and reciprocals) with
-    unit diagonal and a[i][j] * a[j][i] = 1 within 1e-9.
+    unit diagonal and a[i][j] * a[j][i] = 1 within 1e-9, over at most ten
+    items: the orders that have a tabulated random index.
     """
 
     labels: tuple[str, ...]
@@ -52,14 +65,13 @@ class ComparisonMatrix:
     def __post_init__(self):
         labels = _unique_labels(self.labels, "matrix")
         object.__setattr__(self, "labels", labels)
-        a = np.array(self.a, dtype=float)
+        a = _positive_floats(self.a, MatrixValidationError, "matrix entries must be finite and strictly positive")
         n = len(labels)
         if a.shape != (n, n):
             raise MatrixValidationError(
                 f"matrix shape {a.shape} does not match {n} labels"
             )
-        if not np.all(np.isfinite(a)) or np.any(a <= 0):
-            raise MatrixValidationError("matrix entries must be finite and strictly positive")
+        _random_index(n)  # every weighing needs it: refused here, where a scenario names the matrix
         if np.max(np.abs(np.diag(a) - 1.0)) > RECIPROCAL_TOLERANCE:
             raise MatrixValidationError("diagonal entries must equal 1")
         worst = np.max(np.abs(a * a.T - 1.0))
@@ -87,12 +99,11 @@ class WeightVector:
     def __post_init__(self):
         labels = _unique_labels(self.labels, "weight")
         object.__setattr__(self, "labels", labels)
-        w = tuple(float(x) for x in self.w)
+        w = _positive_floats(self.w, NumberError, "weights must be finite and strictly positive")
+        if w.shape != (len(labels),):
+            raise AlignmentError(f"{len(labels)} labels need one weight each, got weights of shape {w.shape}")
+        w = tuple(w.tolist())
         object.__setattr__(self, "w", w)
-        if len(w) != len(labels):
-            raise AlignmentError(f"{len(labels)} labels but {len(w)} weights")
-        if not all(0 < x < np.inf for x in w):  # NaN fails every comparison, this one too
-            raise NumberError("weights must be finite and strictly positive")
         if abs(sum(w) - 1.0) > WEIGHT_SUM_TOLERANCE:
             raise NumberError(f"weights sum to {sum(w):.12f}, expected 1")
 
@@ -122,12 +133,17 @@ class ConsistencyReport:
     passed: bool
 
 
-def consistency_report(lambda_max: float, n: int) -> ConsistencyReport:
-    """Build the CI/CR report from a dominant eigenvalue and matrix order."""
+def _random_index(n: int) -> float:
+    """Saaty's random index RI for an n x n matrix; MatrixValidationError past the table."""
     if n not in RANDOM_INDEX:
         raise MatrixValidationError(f"no random index tabulated for n={n}; table covers 1..{max(RANDOM_INDEX)}")
+    return RANDOM_INDEX[n]
+
+
+def consistency_report(lambda_max: float, n: int) -> ConsistencyReport:
+    """Build the CI/CR report from a dominant eigenvalue and matrix order."""
+    ri = _random_index(n)
     ci = 0.0 if n == 1 else (lambda_max - n) / (n - 1)
-    ri = RANDOM_INDEX[n]
     cr = 0.0 if n <= 2 else ci / ri
     return ConsistencyReport(
         n=n,
@@ -148,12 +164,10 @@ def dominant_eigen(a: np.ndarray) -> tuple[np.ndarray, float]:
     and lambda_max = mean((A w)_i / w_i). The eigenvector is invariant
     under positive scaling of ``a``; the eigenvalue scales linearly.
     """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or n == 0:
+    a = _positive_floats(a, MatrixValidationError, "power iteration requires a strictly positive matrix")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise MatrixValidationError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)) or np.any(a <= 0):
-        raise MatrixValidationError("power iteration requires a strictly positive matrix")
+    n = len(a)
     x = np.full(n, 1.0 / n)
     step = np.inf
     for _ in range(POWER_MAX_ITERATIONS):
@@ -280,4 +294,4 @@ def synthesize_factors(h: CriteriaHierarchy) -> AdjustmentFactors:
     g = np.zeros(len(players))
     for label, weight in zip(h.criteria_weights.labels, h.criteria_weights.w):
         g += weight * h.player_scores[label].as_array()
-    return compute_deltas([Fraction(float(x)) for x in g], players, normalize=True)
+    return compute_deltas(g.tolist(), players, normalize=True)

@@ -36,8 +36,11 @@ _INT64_BITS = 63
 def _unique_labels(labels: Iterable[str] | str, what: str) -> tuple[str, ...]:
     """``labels`` as a tuple: at least one, each a non-empty string that UTF-8
     can encode (so a report can print it), none repeated. A bare string is
-    one label."""
-    out = (labels,) if isinstance(labels, str) else tuple(labels)
+    one label; anything else ``tuple`` cannot iterate is an InputTypeError."""
+    try:
+        out = (labels,) if isinstance(labels, str) else tuple(labels)
+    except TypeError:
+        raise InputTypeError(f"{what} labels are a string or an iterable of strings, got {labels!r}") from None
     if not out:
         raise IdentifierError(f"at least one {what} label is needed")
     for label in out:

@@ -2,12 +2,13 @@
 
 Game values travel through the package as :class:`fractions.Fraction` so
 that allocation identities (efficiency, telescoping) are equalities
-rather than tolerances. Inputs arrive as decimal strings, ratio strings,
-ints, Decimals, or floats; every conversion here is exact. Coalition
-values are read as integer (numerator, denominator) pairs instead, by
-:func:`parse_pair`, which builds no Fraction for a plain decimal or
-ratio. :func:`balanced_fold` joins a list of exact values (sums, lcms)
-as a balanced tree, so that most joins are of small operands.
+rather than tolerances. Every number the engines read (a coalition
+value, a factor, an oracle's answer) goes through one reader,
+:func:`parse_pair`: decimal strings, ratio strings, ints, Decimals,
+Fractions and floats become an exact integer (numerator, denominator)
+pair, with no Fraction built for a plain decimal or ratio string.
+:func:`balanced_fold` joins a list of exact values (sums, lcms) as a
+balanced tree, so that most joins are of small operands.
 """
 
 from __future__ import annotations
@@ -46,34 +47,6 @@ def _check_size(text: str) -> None:
             raise NumberError(f"number needs more than {MAX_DIGITS} digits")
 
 
-def parse_rational(value: RationalLike) -> Fraction:
-    """Convert ``value`` to an exact Fraction.
-
-    Strings may be decimal ("1000", "-3.25", "0.6648") or a ratio of
-    integers ("4150/3") that need at most ``MAX_DIGITS`` digits. Floats
-    convert exactly (a float is a dyadic rational); no rounding happens
-    here.
-    """
-    if isinstance(value, bool):
-        raise InputTypeError("booleans are not rational values")
-    if type(value) is Fraction:
-        return value  # immutable and already exact
-    if isinstance(value, (int, Fraction, Decimal)):
-        return Fraction(value)
-    if isinstance(value, float):
-        try:
-            return Fraction(value)
-        except (ValueError, OverflowError) as exc:
-            raise NumberError(f"not a finite number: {value!r}") from exc
-    if isinstance(value, str):
-        _check_size(value)
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise NumberError(f"not a decimal or ratio string: {value!r}") from exc
-    raise InputTypeError(f"cannot interpret {type(value).__name__} as a rational")
-
-
 @functools.cache
 def _power_of_ten(places: int) -> int:
     return 10**places  # one int per length, shared by every pair with that many places
@@ -82,11 +55,14 @@ def _power_of_ten(places: int) -> int:
 def parse_pair(value: RationalLike) -> tuple[int, int]:
     """``value`` as an exact (numerator, denominator) pair, the denominator positive.
 
-    Takes what :func:`parse_rational` takes and raises what it raises. A
-    plain ASCII decimal or ratio string within ``MAX_DIGITS`` characters
-    is read straight into ints, and its pair need not be in lowest terms
-    ("1.50" gives (150, 100)); every other input goes through
-    :func:`parse_rational`.
+    Strings may be decimal ("1000", "-3.25", "0.6648") or a ratio of
+    integers ("4150/3") that need at most ``MAX_DIGITS`` digits. A plain
+    ASCII decimal or ratio string is read straight into ints, and its pair
+    need not be in lowest terms ("1.50" gives (150, 100)); any other string
+    goes through ``Fraction``. An int, float, Fraction or Decimal gives its
+    ``as_integer_ratio()``: a float is a dyadic rational, so no rounding
+    happens here, and a NaN or an infinity is a NumberError. A bool or any
+    other type is an InputTypeError.
     """
     if type(value) is str and len(value) <= MAX_DIGITS:
         plain = _PLAIN(value)
@@ -95,7 +71,20 @@ def parse_pair(value: RationalLike) -> tuple[int, int]:
             if numerator:
                 return int(numerator), int(denominator)
             return int(whole + places), _power_of_ten(len(places))
-    return parse_rational(value).as_integer_ratio()
+    if type(value) is Fraction:  # an oracle's usual answer, read without the checks below
+        return value.as_integer_ratio()
+    if isinstance(value, str):
+        _check_size(value)
+        try:
+            return Fraction(value.strip()).as_integer_ratio()
+        except (ValueError, ZeroDivisionError) as exc:
+            raise NumberError(f"not a decimal or ratio string: {value!r}") from exc
+    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction, Decimal)):
+        raise InputTypeError(f"cannot interpret {type(value).__name__} as a rational")
+    try:
+        return value.as_integer_ratio()
+    except (ValueError, OverflowError) as exc:
+        raise NumberError(f"not a finite number: {value!r}") from exc
 
 
 def balanced_fold(combine: Callable, items: Sequence):

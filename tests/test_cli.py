@@ -347,6 +347,22 @@ def test_a_malformed_factor_block_exits_one_with_one_error_line(tmp_path, capsys
     assert_one_error_line(code, out, err, "error: factors: must map every player to a factor\n")
 
 
+@pytest.mark.parametrize("players, criteria, locus", [
+    (["A", "B"], [f"k{i}" for i in range(11)], "ahp.criteria_matrix"),
+    ([f"P{i}" for i in range(11)], ["k"], "ahp.alternatives.k"),
+])
+def test_an_ahp_level_with_no_random_index_exits_one_at_its_locus(tmp_path, capsys, players, criteria, locus):
+    def ones(n):
+        return [["1"] * n for _ in range(n)]
+
+    alternatives = {c: ones(len(players)) for c in criteria}
+    path = write_scenario(tmp_path, players, ahp={
+        "criteria": criteria, "criteria_matrix": ones(len(criteria)), "alternatives": alternatives})
+    for command in (["ahp", "weights"], ["ahp", "synthesize"], ["allocate"]):
+        code, out, err = run(capsys, *command, path)
+        assert_one_error_line(code, out, err, f"error: {locus}: no random index tabulated for n=11; table covers 1..10")
+
+
 def test_an_exact_value_too_long_to_print_exits_one(tmp_path, capsys):
     # 511 distinct 20-digit denominators: the exact payoffs need thousands of digits
     path = write_scenario(tmp_path, [f"P{i}" for i in range(9)], value=lambda mask: f"{mask}/{10**19 + 2 * mask + 1}")

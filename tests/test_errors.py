@@ -1,4 +1,5 @@
 import ast
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from chainshare import errors
 from chainshare.adjust import adjusted_shapley, compute_deltas
 from chainshare.ahp import ComparisonMatrix, WeightVector, dominant_eigen, principal_weights
 from chainshare.game import CharacteristicFunction, Coalition, PlayerSet, ValueTable, coalition_weight
-from chainshare.rational import parse_rational
+from chainshare.rational import parse_pair
 from chainshare.report import ReportDocument, render
 from chainshare.sampling import SamplingPlan, sample_shapley
 from chainshare.scenario import bundled_scenario
@@ -61,7 +62,7 @@ def _table(n: int, values: dict[int, tuple[int, int]]) -> ValueTable:
     (errors.IdentifierError, lambda: GAME.player_set.index("Z")),
     (errors.IdentifierError, lambda: Coalition(GAME.player_set, 4)),
     (errors.IdentifierError, lambda: ComparisonMatrix(("x", "x"), [[1, 1], [1, 1]])),
-    (errors.NumberError, lambda: parse_rational("12,5")),
+    (errors.NumberError, lambda: parse_pair("12,5")),
     (errors.NumberError, lambda: compute_deltas(["-0.1", "1.1"], 2)),
     (errors.NumberError, lambda: WeightVector(("a", "b"), (0.5, 0.6))),
     (errors.NumberError, lambda: coalition_weight(3, 4)),
@@ -73,7 +74,7 @@ def _table(n: int, values: dict[int, tuple[int, int]]) -> ValueTable:
     (errors.AlignmentError, lambda: WeightVector(("a", "b"), (1.0,))),
     (errors.MatrixValidationError, lambda: dominant_eigen(np.ones((2, 3)))),
     (errors.SamplingPlanError, lambda: sample_shapley(GAME, GAME.player_set, SamplingPlan(5, seed=0), workers=0)),
-    (errors.InputTypeError, lambda: parse_rational(True)),
+    (errors.InputTypeError, lambda: parse_pair(True)),
     (errors.InputTypeError, lambda: coalition_weight(3.0, 1)),
     (errors.IdentifierError, lambda: GAME(4)),
     (errors.IdentifierError, lambda: GAME(-1)),
@@ -100,6 +101,28 @@ def _table(n: int, values: dict[int, tuple[int, int]]) -> ValueTable:
     (errors.IdentifierError, lambda: CharacteristicFunction(GAME.player_set, {1: 1, 2: 1, 3: 3, 4: 1})),
     (errors.EnumerationBoundError, lambda: _table(21, {3: (5, 2), 5: (7, 3)}).scaled()),
     (errors.IncompleteGameError, lambda: _table(2, {1: (1, 1)}).scaled()),
+    pytest.param(errors.NumberError, lambda: parse_pair(Decimal("NaN")), id="parse_pair-Decimal-NaN"),
+    pytest.param(errors.NumberError, lambda: parse_pair(Decimal("sNaN")), id="parse_pair-Decimal-sNaN"),
+    pytest.param(errors.NumberError, lambda: parse_pair(Decimal("Infinity")), id="parse_pair-Decimal-Infinity"),
+    pytest.param(errors.NumberError, lambda: CharacteristicFunction.from_values(("A",), {("A",): Decimal("NaN")}),
+                 id="from_values-Decimal-NaN"),
+    pytest.param(errors.NumberError, lambda: compute_deltas([Decimal("Infinity"), "0"], 2),
+                 id="compute_deltas-Decimal-Infinity"),
+    pytest.param(errors.InputTypeError, lambda: PlayerSet(5), id="PlayerSet-int"),
+    pytest.param(errors.InputTypeError, lambda: PlayerSet(None), id="PlayerSet-None"),
+    pytest.param(errors.InputTypeError, lambda: CharacteristicFunction.from_values(5, {}),
+                 id="from_values-int-players"),
+    pytest.param(errors.InputTypeError, lambda: ComparisonMatrix(5, [[1]]), id="ComparisonMatrix-int-labels"),
+    pytest.param(errors.InputTypeError, lambda: WeightVector(None, (1.0,)), id="WeightVector-None-labels"),
+    pytest.param(errors.MatrixValidationError, lambda: ComparisonMatrix(("a",), "x"),
+                 id="ComparisonMatrix-string-entries"),
+    pytest.param(errors.AlignmentError, lambda: WeightVector(("a",), 5), id="WeightVector-int-weights"),
+    pytest.param(errors.NumberError, lambda: WeightVector(("a",), ["x"]), id="WeightVector-string-weight"),
+    pytest.param(errors.MatrixValidationError, lambda: dominant_eigen("x"), id="dominant_eigen-string"),
+    pytest.param(errors.MatrixValidationError, lambda: dominant_eigen([[1, 2], [3]]), id="dominant_eigen-ragged"),
+    pytest.param(errors.MatrixValidationError, lambda: dominant_eigen(5), id="dominant_eigen-scalar"),
+    pytest.param(errors.MatrixValidationError, lambda: ComparisonMatrix(tuple("abcdefghijk"), np.ones((11, 11))),
+                 id="ComparisonMatrix-no-random-index"),
 ])
 def test_each_rule_raises_its_named_error(error, call):
     with pytest.raises(error):

@@ -33,7 +33,7 @@ from chainshare.game import (
     shapley_terms,
     validate_game,
 )
-from chainshare.rational import exact_string, format_fixed, parse_pair, parse_rational
+from chainshare.rational import exact_string, format_fixed, parse_pair
 from chainshare.scenario import parse_scenario, scenario_game
 
 from .conftest import CASE_CLASSICAL, CASE_VALUES
@@ -430,7 +430,7 @@ def term_sum(game: CharacteristicFunction, player: str) -> Fraction:
 def test_kernel_matches_references_on_mixed_denominators(n):
     rng = random.Random(300 + n)
     players = tuple(f"p{i}" for i in range(n))
-    table = {s: parse_rational(mixed_value(rng)) for s in random_game_table(rng, players)}
+    table = {s: Fraction(*parse_pair(mixed_value(rng))) for s in random_game_table(rng, players)}
     game = CharacteristicFunction.from_values(players, as_from_values(table))
     payoffs = shapley_exact(game).as_dict()
     # The n! arrival orders take about 3 s at n = 9, so the widest game is

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainshare.errors import NumberError
+from chainshare.errors import InputTypeError, NumberError
 from chainshare.rational import (
     MAX_DIGITS,
     balanced_fold,
@@ -17,7 +17,6 @@ from chainshare.rational import (
     exact_string,
     format_fixed,
     parse_pair,
-    parse_rational,
 )
 
 from .oracles import fraction_format_fixed
@@ -44,7 +43,7 @@ from .strategies import number_texts
     ],
 )
 def test_parse_rational(raw, expected):
-    assert parse_rational(raw) == expected
+    assert Fraction(*parse_pair(raw)) == expected
 
 
 @pytest.mark.parametrize(
@@ -53,28 +52,52 @@ def test_parse_rational(raw, expected):
      "1e1000", "1e-1000", "0.5e-999", "1e300000", "1e" + "9" * 5000, "1" * 1001, "1/" + "1" * 1001],
 )
 def test_parse_rational_rejects(raw):
-    with pytest.raises(ValueError):
-        parse_rational(raw)
+    with pytest.raises(NumberError):
+        parse_pair(raw)
+
+
+class Tagged(Fraction):
+    pass
 
 
 def test_parse_rational_returns_an_exact_fraction_unchanged():
-    value = Fraction(10**40 + 1, 7)
-    assert parse_rational(value) is value
-
-    class Tagged(Fraction):
-        pass
-
-    tagged = parse_rational(Tagged(3, 4))
-    assert type(tagged) is Fraction and tagged == Fraction(3, 4)
+    assert parse_pair(Fraction(10**40 + 1, 7)) == (10**40 + 1, 7)
+    numerator, denominator = parse_pair(Tagged(3, 4))
+    assert type(numerator) is int and type(denominator) is int and (numerator, denominator) == (3, 4)
 
 
-def _outcome(read, value):
-    """The Fraction ``read`` gives for ``value``, or the message of the NumberError it raises."""
+# Every kind of number the pair reader takes, the non-finite ones included.
+exact_numbers = (
+    st.integers()
+    | st.fractions()
+    | st.fractions().map(lambda value: Tagged(value.numerator, value.denominator))
+    | st.floats()
+    | st.decimals()
+    | st.sampled_from([Decimal(text) for text in ("NaN", "-NaN", "sNaN", "Infinity", "-Infinity")])
+)
+
+
+@settings(max_examples=400, deadline=2000)
+@given(value=exact_numbers)
+def test_pair_reader_reads_every_number_fraction_reads(value):
     try:
-        result = read(value)
+        expected = Fraction(value)
+    except (ValueError, OverflowError):  # a NaN or an infinity
+        with pytest.raises(NumberError, match="not a finite number"):
+            parse_pair(value)
+        return
+    numerator, denominator = parse_pair(value)
+    assert type(numerator) is int and type(denominator) is int and denominator > 0
+    assert Fraction(numerator, denominator) == expected
+
+
+def _outcome(value):
+    """The Fraction :func:`parse_pair` gives for ``value``, or the message of the NumberError it raises."""
+    try:
+        result = parse_pair(value)
     except NumberError as exc:
         return str(exc)
-    return Fraction(*result) if isinstance(result, tuple) else result
+    return Fraction(*result)
 
 
 @settings(max_examples=400, deadline=2000)
@@ -84,8 +107,7 @@ def test_pair_reader_reads_what_fraction_reads(text):
         expected = Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         expected = None
-    got = _outcome(parse_pair, text)
-    assert got == _outcome(parse_rational, text)  # the same value, or the same error
+    got = _outcome(text)
     if isinstance(got, Fraction):
         assert got == expected
         numerator, denominator = parse_pair(text)
@@ -104,10 +126,10 @@ def test_pair_reader_keeps_plain_strings_unreduced(text, pair):
 
 
 def test_parse_rational_rejects_bools_and_objects():
-    with pytest.raises(TypeError):
-        parse_rational(True)
-    with pytest.raises(TypeError):
-        parse_rational(object())
+    with pytest.raises(InputTypeError):
+        parse_pair(True)
+    with pytest.raises(InputTypeError):
+        parse_pair(object())
 
 
 @pytest.mark.parametrize(
@@ -125,7 +147,7 @@ def test_parse_rational_rejects_bools_and_objects():
 )
 def test_exact_decimal(value, expected):
     assert exact_decimal(value) == expected
-    assert parse_rational(expected) == value
+    assert Fraction(*parse_pair(expected)) == value
 
 
 def test_exact_decimal_undefined_beyond_the_size_bound():

@@ -11,7 +11,7 @@ from chainshare import scenario as scenario_module
 from chainshare.adjust import adjusted_shapley
 from chainshare.errors import EnumerationBoundError, IdentifierError, IncompleteGameError, NumberError, ScenarioError
 from chainshare.game import ENUMERATION_MAX_PLAYERS, CharacteristicFunction, PlayerSet, ValueTable
-from chainshare.rational import MAX_DIGITS, exact_string, parse_rational
+from chainshare.rational import MAX_DIGITS, exact_string, parse_pair
 from chainshare.scenario import (
     AhpBlock,
     ScenarioFile,
@@ -517,7 +517,7 @@ def test_coalition_values_read_what_fraction_reads_and_fail_at_their_locus(raw):
     expected = None  # for a bool, or a string Fraction rejects or that needs too many digits
     if not isinstance(raw, bool):
         try:
-            parse_rational(str(raw))
+            parse_pair(str(raw))
             expected = Fraction(str(raw).strip())
         except NumberError:
             pass
