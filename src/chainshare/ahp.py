@@ -50,6 +50,16 @@ def _positive_floats(values, error: type[ChainshareError], message: str) -> np.n
     return a
 
 
+def _positive_square(a, rule: str) -> np.ndarray:
+    """``a`` as a new non-empty square float array of finite, strictly positive
+    entries; MatrixValidationError otherwise, "``rule`` requires a strictly
+    positive matrix" for the entries."""
+    a = _positive_floats(a, MatrixValidationError, f"{rule} requires a strictly positive matrix")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise MatrixValidationError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class ComparisonMatrix:
     """Reciprocal judgment matrix over labelled items.
@@ -164,9 +174,7 @@ def dominant_eigen(a: np.ndarray) -> tuple[np.ndarray, float]:
     and lambda_max = mean((A w)_i / w_i). The eigenvector is invariant
     under positive scaling of ``a``; the eigenvalue scales linearly.
     """
-    a = _positive_floats(a, MatrixValidationError, "power iteration requires a strictly positive matrix")
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
-        raise MatrixValidationError(f"expected a square matrix, got shape {a.shape}")
+    a = _positive_square(a, "power iteration")
     n = len(a)
     x = np.full(n, 1.0 / n)
     step = np.inf
@@ -184,8 +192,12 @@ def dominant_eigen(a: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def geometric_mean_weights(a: np.ndarray) -> np.ndarray:
-    """Normalized row geometric means; deterministic eigenvector cross-check."""
-    a = np.asarray(a, dtype=float)
+    """Normalized row geometric means; deterministic eigenvector cross-check.
+
+    ``a`` is read as :func:`dominant_eigen` reads it: a non-empty square
+    matrix of finite, strictly positive entries, or MatrixValidationError.
+    """
+    a = _positive_square(a, "a row geometric mean")
     g = np.exp(np.mean(np.log(a), axis=1))
     return g / g.sum()
 

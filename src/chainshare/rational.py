@@ -42,9 +42,14 @@ def _check_size(text: str) -> None:
             number = Decimal(side)
         except InvalidOperation:
             raise NumberError(f"not a number within {MAX_DIGITS} digits: {text[:40]!r}") from None
-        _, digits, exponent = number.as_tuple()
-        if number.is_finite() and max(len(digits) + exponent, 1) + max(-exponent, 0) > MAX_DIGITS:
-            raise NumberError(f"number needs more than {MAX_DIGITS} digits")
+        _check_digits(number)
+
+
+def _check_digits(number: Decimal) -> None:
+    """NumberError if finite ``number`` written out needs more than ``MAX_DIGITS`` digits."""
+    _, digits, exponent = number.as_tuple()
+    if number.is_finite() and max(len(digits) + exponent, 1) + max(-exponent, 0) > MAX_DIGITS:
+        raise NumberError(f"number needs more than {MAX_DIGITS} digits")
 
 
 @functools.cache
@@ -61,8 +66,10 @@ def parse_pair(value: RationalLike) -> tuple[int, int]:
     need not be in lowest terms ("1.50" gives (150, 100)); any other string
     goes through ``Fraction``. An int, float, Fraction or Decimal gives its
     ``as_integer_ratio()``: a float is a dyadic rational, so no rounding
-    happens here, and a NaN or an infinity is a NumberError. A bool or any
-    other type is an InputTypeError.
+    happens here, and a NaN or an infinity is a NumberError. A Decimal
+    whose expansion needs more than ``MAX_DIGITS`` digits is a NumberError
+    before its ratio is built, as a short one ("1e3000000") can stand for
+    millions of bits. A bool or any other type is an InputTypeError.
     """
     if type(value) is str and len(value) <= MAX_DIGITS:
         plain = _PLAIN(value)
@@ -81,6 +88,8 @@ def parse_pair(value: RationalLike) -> tuple[int, int]:
             raise NumberError(f"not a decimal or ratio string: {value!r}") from exc
     if isinstance(value, bool) or not isinstance(value, (int, float, Fraction, Decimal)):
         raise InputTypeError(f"cannot interpret {type(value).__name__} as a rational")
+    if isinstance(value, Decimal):
+        _check_digits(value)
     try:
         return value.as_integer_ratio()
     except (ValueError, OverflowError) as exc:

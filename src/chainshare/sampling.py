@@ -13,8 +13,10 @@ A :class:`CharacteristicFunction` over the sampled players themselves
 takes the dense path, :func:`_dense_steps`: each step's key, prefix
 mask * n + player, is added by ``np.add.at`` into one run-wide table of
 2**n * n counts, a chunk at a time, and the game's two value columns
-are read once. The table is 2**n * n int64s whatever the permutations,
-160 MiB at the 20-player cap of a game.
+are read once. No count passes the permutation count m, so a slot takes
+2 bytes (uint16) below 2**16 permutations, 4 (uint32) below 2**32 and 8
+(int64) past that: 40 MiB at the 20-player cap of a game below 65,536
+permutations, and 80 MiB from there.
 
 Every other oracle takes the sort path, :func:`_sorted_steps`, one chunk
 at a time: :func:`_count_steps` counts a chunk's distinct steps by
@@ -52,9 +54,10 @@ DEFAULT_CHUNK_SIZE = 4096
 # Counting a chunk peaks at about 5.4 arrays of chunk size x n 8-byte words at
 # 64 players and 7.6 at 130 (about 170 MiB at this bound and 64 players), and
 # one chunk is counted at a time, so plans are bounded. The dense path adds a
-# chunk's keys into its count table of 2**n * n int64s, and at 16 players and
-# 2**16 permutations the run peaks near 1.7 such tables at the default chunk
-# size and 3.1 at this bound.
+# chunk's keys into its count table of 2**n * n slots of 2, 4 or 8 bytes, by
+# the permutation count (see _dense_steps), and at 16 players and 2**16
+# permutations, in 4-byte counts, the run peaks near 9.2 MiB at the default
+# chunk size and 16.7 MiB at this bound.
 MAX_CHUNK_SIZE = 65_536
 
 # Steps whose marginals are summed at a time: counted steps wait until this
@@ -379,26 +382,33 @@ def _dense_steps(game: CharacteristicFunction, plan: SamplingPlan):
     """A table game's run of steps, counted in one table, with their values, in blocks for :func:`_sum_block`.
 
     A step (prefix mask S, player i) has the key S * n + i, below 2**n * n.
-    Each chunk is drawn by :func:`_draw`, its prefix masks are cumulative
-    sums of its players' bits, and ``np.add.at`` adds its keys in place to
-    the run's table of 2**n * n int64 counts, at a cost in keys, not in
-    table slots. The table's nonzero entries are the run's distinct steps,
-    in (mask, player) order. The game's two value columns are read once
-    by :func:`_column`, and each step takes the values of its prefix plus
+    Each chunk is drawn by :func:`_draw` and laid out as one int32 row per
+    arrival position, so its prefix masks are n - 1 in-place adds of a row
+    into the next, less each row's own bits. ``np.add.at`` adds its keys in
+    place to the run's table of 2**n * n counts, at a cost in keys, not in
+    table slots. A count is at most m, so the table is uint16 below 2**16
+    permutations, uint32 below 2**32 and int64 past that: 2, 4 or 8 bytes a
+    slot. The table's nonzero entries are the run's distinct steps, in
+    (mask, player) order. The game's two value columns are read once by
+    :func:`_column`, and each step takes the values of its prefix plus
     player and of its prefix, in blocks of at most ``_SUM_BLOCK`` steps.
     """
     n, m = game.n, plan.permutations
-    counts = np.zeros(n << n, np.int64)
+    # no count passes m; uint64 is never used, as uint64 times int64 is float64 in _sum_block
+    counts = np.zeros(n << n, np.uint16 if m < 1 << 16 else np.uint32 if m < 1 << 32 else np.int64)
+    one = counts.dtype.type(1)  # an untyped 1 takes np.add.at off its fast loop on a narrow table
     for chunk_index, chunk_start in enumerate(range(0, m, plan.chunk_size)):
         count = min(plan.chunk_size, m - chunk_start)
-        # a game has at most 20 players, so every key is below 2**25 and fits an int32
-        perms = _draw(n, plan.seed, chunk_index, count).astype(np.int32)
-        bits = 1 << perms
-        keys = np.cumsum(bits, axis=1, dtype=np.int32)
-        keys -= bits
+        # Row j holds the players at arrival position j. A game has at most 20
+        # players, so every key is below 2**25 and fits an int32.
+        players = np.ascontiguousarray(_draw(n, plan.seed, chunk_index, count).T, dtype=np.int32)
+        keys = 1 << players
+        for j in range(1, n):
+            keys[j] += keys[j - 1]
+        keys -= 1 << players
         keys *= n
-        keys += perms
-        np.add.at(counts, keys.ravel(), 1)
+        keys += players
+        np.add.at(counts, keys.ravel(), one)
     steps = np.flatnonzero(counts)
     num, den = _column(game.values.numerators), _column(game.values.denominators)
     for start in range(0, steps.size, _SUM_BLOCK):
@@ -421,10 +431,11 @@ def sample_shapley(
     (int, Fraction, Decimal, decimal string, or float). A
     :class:`chainshare.game.CharacteristicFunction` whose player set is
     ``players`` is not called: its steps are counted in one run-wide table
-    of 2**n * n counts, whatever the permutations, and its value table's
-    exact pairs are read once. Any other oracle, a subclass of the game or
-    a game over another player set included, is called on the calling thread
-    only, once per distinct coalition, so it need not be thread-safe: chunk
+    of 2**n * n counts of 2 bytes each below 2**16 permutations, 4 below
+    2**32 and 8 past that, and its value table's exact pairs are read
+    once. Any other oracle, a subclass of the game or a game over another
+    player set included, is called on the calling thread only, once per
+    distinct coalition, so it need not be thread-safe: chunk
     by chunk, on the coalitions the chunk needs that no earlier chunk did,
     in ascending mask order. If it raises, :class:`OracleError` names the
     first permutation of the stream that needs the coalition it was asked

@@ -8,7 +8,7 @@ import pytest
 import chainshare
 from chainshare import errors
 from chainshare.adjust import adjusted_shapley, compute_deltas
-from chainshare.ahp import ComparisonMatrix, WeightVector, dominant_eigen, principal_weights
+from chainshare.ahp import ComparisonMatrix, WeightVector, dominant_eigen, geometric_mean_weights, principal_weights
 from chainshare.game import CharacteristicFunction, Coalition, PlayerSet, ValueTable, coalition_weight
 from chainshare.rational import parse_pair
 from chainshare.report import ReportDocument, render
@@ -121,6 +121,12 @@ def _table(n: int, values: dict[int, tuple[int, int]]) -> ValueTable:
     pytest.param(errors.MatrixValidationError, lambda: dominant_eigen("x"), id="dominant_eigen-string"),
     pytest.param(errors.MatrixValidationError, lambda: dominant_eigen([[1, 2], [3]]), id="dominant_eigen-ragged"),
     pytest.param(errors.MatrixValidationError, lambda: dominant_eigen(5), id="dominant_eigen-scalar"),
+    pytest.param(errors.MatrixValidationError, lambda: geometric_mean_weights("x"),
+                 id="geometric_mean_weights-string"),
+    pytest.param(errors.MatrixValidationError, lambda: geometric_mean_weights([[1, 2], [3]]),
+                 id="geometric_mean_weights-ragged"),
+    pytest.param(errors.MatrixValidationError, lambda: geometric_mean_weights([[1, -1], [-1, 1]]),
+                 id="geometric_mean_weights-negative"),
     pytest.param(errors.MatrixValidationError, lambda: ComparisonMatrix(tuple("abcdefghijk"), np.ones((11, 11))),
                  id="ComparisonMatrix-no-random-index"),
 ])

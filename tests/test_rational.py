@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -56,6 +57,23 @@ def test_parse_rational_rejects(raw):
         parse_pair(raw)
 
 
+@pytest.mark.parametrize(
+    "text", ["1e1000", "-1E+1000", "1e-1000", "0.5e-999", "1e3000000", "1" * 1001], ids=lambda text: text[:12]
+)
+def test_a_decimal_whose_expansion_needs_too_many_digits_is_refused_before_it_is_built(text):
+    # Decimal("1e3000000") once built a numerator of about 10 million bits, in about 2 s
+    began = time.perf_counter()
+    with pytest.raises(NumberError, match=f"more than {MAX_DIGITS} digits"):
+        parse_pair(Decimal(text))
+    assert time.perf_counter() - began < 0.5
+
+
+def test_a_decimal_at_the_digit_bound_reads_exactly():
+    assert parse_pair(Decimal("1e999")) == (10**999, 1)
+    assert Fraction(*parse_pair(Decimal("-1E-999"))) == Fraction(-1, 10**999)
+    assert Fraction(*parse_pair(Decimal("9" * 1000))) == 10**1000 - 1
+
+
 class Tagged(Fraction):
     pass
 
@@ -86,6 +104,10 @@ def test_pair_reader_reads_every_number_fraction_reads(value):
         with pytest.raises(NumberError, match="not a finite number"):
             parse_pair(value)
         return
+    if isinstance(value, Decimal):  # read as its string is, a refusal for too many digits included
+        assert _outcome(value) == _outcome(str(value))
+        if isinstance(_outcome(value), str):
+            return
     numerator, denominator = parse_pair(value)
     assert type(numerator) is int and type(denominator) is int and denominator > 0
     assert Fraction(numerator, denominator) == expected

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from chainshare import sampling
 from chainshare.errors import FloatRangeError, IdentifierError, OracleError, SamplingPlanError
-from chainshare.game import CharacteristicFunction, PlayerSet, shapley_exact
+from chainshare.game import CharacteristicFunction, PlayerSet, ValueTable, shapley_exact
 from chainshare.sampling import (
     DEFAULT_CHUNK_SIZE,
     MAX_CHUNK_SIZE,
@@ -595,10 +595,71 @@ def test_the_dense_count_reports_what_the_calls_report(n, permutations, kind, ch
     assert sum(report.estimates, Fraction(0)) == game.grand_value
 
 
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("permutations, dtype", [(2**16 - 1, np.uint16), (2**16, np.uint32)])
+def test_the_dense_count_table_is_the_narrowest_the_permutations_allow(monkeypatch, n, permutations, dtype):
+    # A step is counted at most m times; at one player its one step is counted
+    # exactly m times, the most a uint16 table holds at 2**16 - 1. Chunks of
+    # 4096 split the run, so every count builds up over 16 chunks.
+    seen = set()
+    sum_block = sampling._sum_block
+
+    def spy(sums, n, m, counts, *columns):
+        seen.add(counts.dtype)
+        sum_block(sums, n, m, counts, *columns)
+
+    monkeypatch.setattr(sampling, "_sum_block", spy)
+    game = _table_game(n, ("ratios",), seed=n)
+    plan = SamplingPlan(permutations, seed=permutations, chunk_size=4096)
+    report = sample_shapley(game, game.player_set, plan)
+    assert seen == {np.dtype(dtype)}
+    monkeypatch.undo()
+    assert report == sample_shapley(lambda c: game(c), game.player_set, plan)
+
+
+@pytest.mark.parametrize("kind", ["ratios", "int64-edges"])
+def test_the_sums_are_the_same_for_every_count_dtype(kind):
+    # ratios take the int64 sums and int64 edges the Python-int sums; a narrow
+    # count times an int64 or object column is an int64 or a Python int
+    n, m = 5, 300
+    game = _table_game(n, (kind,), seed=n)
+    blocks = list(sampling._dense_steps(game, SamplingPlan(m, seed=n, chunk_size=64)))
+    assert blocks and all(block[0].dtype == np.uint16 for block in blocks)
+    sums_by_dtype = []
+    for dtype in (np.uint16, np.uint32, np.int64):
+        sums = [{} for _ in range(n)]
+        for counts, *columns in blocks:
+            sampling._sum_block(sums, n, m, counts.astype(dtype), *columns)
+        sums_by_dtype.append(sums)
+    assert sums_by_dtype[0] == sums_by_dtype[1] == sums_by_dtype[2]
+    assert all(type(x) is int for by_den in sums_by_dtype[0] for entry in by_den.values() for x in entry)
+
+
+def test_a_20_player_dense_call_below_2_16_permutations_holds_a_uint16_table():
+    # 2**20 * 20 uint16 counts are 40 MiB, and the two int64 value columns 8 MiB
+    # each; a table of int64 counts alone would be 160 MiB
+    n = 20
+    table = ValueTable(n)
+    table.numerators[:] = [mask % 1000 for mask in range(1 << n)]
+    table.denominators[:] = [1] * (1 << n)
+    game = CharacteristicFunction(PlayerSet(tuple(f"p{i}" for i in range(n))), table)
+    small = _table_game(2, ("ratios",), seed=0)
+    sample_shapley(small, small.player_set, SamplingPlan(8, seed=0))  # numpy's first-call setup is not counted
+    tracemalloc.start()
+    try:
+        report = sample_shapley(game, game.player_set, SamplingPlan(1000, seed=20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(report.estimates, Fraction(0)) == game.grand_value
+    assert peak < 64 * 2**20, peak
+
+
 def test_dense_counting_peaks_below_two_count_tables_at_the_default_chunk():
-    # the count table is 2**n * n int64s, n * 8 bytes per permutation at 2**n = m;
-    # each chunk's keys are added into it in place, so a chunk's arrays are the rest.
-    # One permutation still takes the whole table, plus the two value columns.
+    # the bound is in tables of 2**n * n int64s, n * 8 bytes per permutation at
+    # 2**n = m, whatever dtype the counts take; each chunk's keys are added into
+    # the table in place, so a chunk's arrays are the rest. One permutation
+    # still takes the whole table, plus the two value columns.
     n = 16
     players = PlayerSet(tuple(f"p{i}" for i in range(n)))
     game = CharacteristicFunction(players, {mask: mask % 1000 for mask in range(1, 1 << n)})
