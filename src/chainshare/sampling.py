@@ -65,6 +65,11 @@ MAX_CHUNK_SIZE = 65_536
 # size, in int64 or Python ints of any size.
 _SUM_BLOCK = 8192
 
+# Count-table slots searched for steps at a time: numpy finds the nonzero
+# entries of a bool mask on a fast loop, not of a uint16 or int64 table, and
+# a slice keeps the mask at 1 MiB whatever the table's size.
+_SCAN_SLOTS = 1 << 20
+
 
 def _check_count(value, low: int, high: int | float, rule: str) -> None:
     """SamplingPlanError "``rule``, got ``value``" unless ``value`` is an int, not a bool, in low..high - 1."""
@@ -378,6 +383,12 @@ def _sorted_steps(oracle: Callable, players: PlayerSet, plan: SamplingPlan):
             waiting.clear()
 
 
+def _nonzero_slots(counts: np.ndarray) -> np.ndarray:
+    """``np.flatnonzero(counts)``, found ``_SCAN_SLOTS`` slots at a time."""
+    return np.concatenate([np.flatnonzero(counts[start : start + _SCAN_SLOTS] != 0) + start
+                           for start in range(0, counts.size, _SCAN_SLOTS)])
+
+
 def _dense_steps(game: CharacteristicFunction, plan: SamplingPlan):
     """A table game's run of steps, counted in one table, with their values, in blocks for :func:`_sum_block`.
 
@@ -389,9 +400,10 @@ def _dense_steps(game: CharacteristicFunction, plan: SamplingPlan):
     table slots. A count is at most m, so the table is uint16 below 2**16
     permutations, uint32 below 2**32 and int64 past that: 2, 4 or 8 bytes a
     slot. The table's nonzero entries are the run's distinct steps, in
-    (mask, player) order. The game's two value columns are read once by
-    :func:`_column`, and each step takes the values of its prefix plus
-    player and of its prefix, in blocks of at most ``_SUM_BLOCK`` steps.
+    (mask, player) order, found by :func:`_nonzero_slots`. The game's
+    two value columns are read once by :func:`_column`, and each step takes
+    the values of its prefix plus player and of its prefix, in blocks of at
+    most ``_SUM_BLOCK`` steps.
     """
     n, m = game.n, plan.permutations
     # no count passes m; uint64 is never used, as uint64 times int64 is float64 in _sum_block
@@ -409,7 +421,7 @@ def _dense_steps(game: CharacteristicFunction, plan: SamplingPlan):
         keys *= n
         keys += players
         np.add.at(counts, keys.ravel(), one)
-    steps = np.flatnonzero(counts)
+    steps = _nonzero_slots(counts)
     num, den = _column(game.values.numerators), _column(game.values.denominators)
     for start in range(0, steps.size, _SUM_BLOCK):
         step = steps[start : start + _SUM_BLOCK]

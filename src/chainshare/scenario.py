@@ -23,10 +23,12 @@ A scenario is a UTF-8 JSON document::
     }
 
 Numbers are strings, either decimals ("0.6648") or integer ratios
-("6648/9984"), and are parsed exactly. Coalition values are read in
-one pass over the entries, straight into the integer-pair
+("6648/9984"), and are parsed exactly. Coalition values are read a
+column at a time, in blocks of entries, straight into the integer-pair
 :class:`~chainshare.game.ValueTable` that the game built from the
-scenario uses as it is. ``factors`` and ``ahp`` are mutually exclusive;
+scenario uses as it is; only a document with an error, or with a value
+that is not a plain decimal or ratio string, is read again one entry at a
+time, which words the error. ``factors`` and ``ahp`` are mutually exclusive;
 an alternatives entry is a player->score map of direct normalized scores
 or a full pairwise matrix over the players in order. Member lists are
 canonicalized on parse, so permuted lists name the same coalition.
@@ -36,9 +38,13 @@ from __future__ import annotations
 
 import functools
 import json
+import re
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
+from itertools import compress, repeat
+from operator import contains, itemgetter, not_
 from pathlib import Path
 from typing import Mapping
 
@@ -46,7 +52,7 @@ from .adjust import MODES, AdjustmentFactors, compute_deltas
 from .ahp import METHODS, ComparisonMatrix, CriteriaHierarchy, WeightVector, synthesize_factors
 from .errors import ChoiceError, FloatRangeError, IdentifierError, MatrixValidationError, NumberError, ScenarioError
 from .game import CharacteristicFunction, PlayerSet, ValueTable, _unique_labels
-from .rational import exact_string, parse_pair
+from .rational import MAX_DIGITS, _power_of_ten, exact_string, parse_pair
 
 
 @dataclass(frozen=True)
@@ -65,7 +71,7 @@ class ScenarioFile:
 
     A parsed scenario's ``coalition_values`` is a read-only
     :class:`~chainshare.game.ValueTable`: Fractions keyed by coalition mask,
-    held as the integer pairs the parser read, one entry at a time.
+    held as the integer pairs the parser read.
     ``player_set`` is built once, or kept from the parse that validated
     ``players``.
     """
@@ -150,23 +156,106 @@ def _parse_players(doc: dict) -> PlayerSet:
 
 
 _ENTRY_KEYS = frozenset({"members", "value"})
+_MEMBERS, _VALUE = itemgetter("members"), itemgetter("value")
+# Entries read per block of columns: every column a block makes (masks,
+# value texts, the split digits) is freed before the next block starts, so
+# the columns add a fixed amount, not one per entry, to the table's memory.
+_BLOCK_ROWS = 1024
+# A plain decimal's shape, its ASCII digits written as 0 ("-12.50" is "-00.00"):
+# digits on both sides of at most one dot, a minus only in front.
+_ZEROS = str.maketrans("123456789", "000000000")
+_PLAIN_SHAPE = re.compile(r"-?0+(?:\.0+)?").fullmatch
 
 
 def _parse_coalitions(doc: dict, players: PlayerSet) -> ValueTable:
-    """The coalitions' values, read in one pass: the first error in document
-    order, at its entry's locus, or the table.
+    """The coalitions' values: the table, or the first error in document
+    order at its entry's locus.
 
-    Each member list's mask is one sum of the player set's ``bits``; only a
-    list that sum refuses (an unknown or unhashable name, an empty list, a
-    repeated member, a coalition given twice) goes through
-    :meth:`ValueTable.mask_for`, which words the error.
+    The entries are read a column at a time, in blocks of ``_BLOCK_ROWS``,
+    by :func:`_read_columns`. A coalition given twice fills one slot twice,
+    so the table then holds fewer values than there are entries. Only a
+    document the column pass refuses, one with an error or with a value that
+    is not a plain decimal or ratio string ("1e3", "+1", a JSON int), is read
+    again from the start by :func:`_read_entries`, one entry at a time, which
+    words the first error or reads the values the column pass declined.
     """
     coalitions = doc.get("coalitions")
     if coalitions is None:
         raise ScenarioError("missing required field", "coalitions")
     if not isinstance(coalitions, list) or not coalitions:
         raise ScenarioError("must be a non-empty list of {members, value} entries", "coalitions")
-    bits, table = players.bits, ValueTable(players.n)
+    table = ValueTable(players.n)
+    starts = range(0, len(coalitions), _BLOCK_ROWS)
+    if all(_read_columns(coalitions[i : i + _BLOCK_ROWS], players.bits, table) for i in starts):
+        if len(table) == len(coalitions):
+            return table
+    return _read_entries(coalitions, players.bits, ValueTable(players.n))
+
+
+def _read_columns(entries: list, bits: dict[str, int], table: ValueTable) -> bool:
+    """Fill ``table`` from ``entries``, one column at a time; False, with the
+    table part filled, for a block the entry loop must read or refuse.
+
+    Every entry must be a dict of the keys members and value, its members a
+    list and its value a string. Each mask is one sum of ``bits``, which
+    fails on an unknown or unhashable name; 0 is an empty list, and a
+    repeated member carries, so it leaves fewer bits than names. A value
+    holding "/" is a ratio, read by :func:`parse_pair` one row at a time.
+    The others must all have a plain decimal's shape, within ``MAX_DIGITS``:
+    each is then read as :func:`parse_pair` reads it, unreduced ("1.50" is
+    (150, 100)), its numerator by ``int`` of its digits and its denominator
+    a cached power of ten, one per shape.
+    """
+    try:  # an entry that is not a dict, or lacks a key, raises here
+        if set(map(len, entries)) != {2}:
+            return False
+        members, values = list(map(_MEMBERS, entries)), list(map(_VALUE, entries))
+    except (KeyError, TypeError):
+        return False
+    if set(map(type, members)) != {list} or set(map(type, values)) != {str}:
+        return False
+    try:
+        masks = list(map(sum, map(map, repeat(bits.__getitem__), members)))
+    except (KeyError, TypeError):
+        return False
+    if 0 in masks or list(map(int.bit_count, masks)) != list(map(len, members)):
+        return False
+    numerators, denominators = table.numerators, table.denominators
+    text = ",".join(values)
+    if "/" in text:
+        ratio = list(map(contains, values, repeat("/")))
+        try:
+            for mask, value in zip(compress(masks, ratio), compress(values, ratio)):
+                numerators[mask], denominators[mask] = parse_pair(value)
+        except NumberError:
+            return False
+        plain = list(map(not_, ratio))
+        masks, values = list(compress(masks, plain)), list(compress(values, plain))
+        text = ",".join(values)
+    if not values:
+        return True
+    shapes = text.translate(_ZEROS)
+    power = dict.fromkeys(shapes.split(","))
+    if shapes.count(",") != len(values) - 1:  # a comma inside a value
+        return False
+    for shape in power:
+        if len(shape) > MAX_DIGITS or not _PLAIN_SHAPE(shape):
+            return False
+        power[shape] = _power_of_ten(len(shape.partition(".")[2]))
+    deque(map(denominators.__setitem__, masks, map(power.__getitem__, shapes.split(","))), 0)
+    deque(map(numerators.__setitem__, masks, map(int, text.replace(".", "").split(","))), 0)
+    return True
+
+
+def _read_entries(coalitions: list, bits: dict[str, int], table: ValueTable) -> ValueTable:
+    """``table`` filled one entry at a time, or the first error in document
+    order, at its entry's locus.
+
+    Each member list's mask is one sum of ``bits``; only a list that sum
+    refuses (an unknown or unhashable name, an empty list, a repeated
+    member, a coalition given twice) goes through
+    :meth:`ValueTable.mask_for`, which words the error.
+    """
     numerators, denominators = table.numerators, table.denominators
     try:  # around the loop, not per entry: the locus is built only to raise
         for i, entry in enumerate(coalitions):

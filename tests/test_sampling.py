@@ -655,6 +655,26 @@ def test_a_20_player_dense_call_below_2_16_permutations_holds_a_uint16_table():
     assert peak < 64 * 2**20, peak
 
 
+@pytest.mark.parametrize("dtype", [np.uint16, np.uint32, np.int64])
+def test_the_step_scan_finds_what_flatnonzero_finds_across_slice_edges(monkeypatch, dtype):
+    # nonzero slots on both sides of every edge of 8-slot slices, and a last slice cut short
+    monkeypatch.setattr(sampling, "_SCAN_SLOTS", 8)
+    counts = np.zeros(61, dtype)
+    counts[[0, 7, 8, 15, 16, 23, 31, 40, 47, 48, 56, 60]] = [1, 2, 3, 1, 65535, 1, 9, 1, 1, 4, 1, 2]
+    for table in (counts, np.zeros(61, dtype), np.ones(61, dtype), counts[:56]):
+        steps = sampling._nonzero_slots(table)
+        assert steps.dtype == np.flatnonzero(table).dtype
+        assert steps.tolist() == np.flatnonzero(table).tolist()
+
+
+def test_a_sampled_report_does_not_depend_on_the_scan_slice(monkeypatch):
+    game = _table_game(5, ("ratios",), seed=5)
+    plan = SamplingPlan(300, seed=5, chunk_size=64)
+    expected = sample_shapley(game, game.player_set, plan)
+    monkeypatch.setattr(sampling, "_SCAN_SLOTS", 7)  # 5 * 2**5 slots in 23 slices, the last of 6
+    assert sample_shapley(game, game.player_set, plan) == expected
+
+
 def test_dense_counting_peaks_below_two_count_tables_at_the_default_chunk():
     # the bound is in tables of 2**n * n int64s, n * 8 bytes per permutation at
     # 2**n = m, whatever dtype the counts take; each chunk's keys are added into

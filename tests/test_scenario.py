@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from collections.abc import Mapping, MutableMapping
 from fractions import Fraction
 
@@ -607,6 +608,24 @@ def _table_or_error(read, coalitions: list) -> tuple:
 @example(case=(("A", "B"), [{"members": ["A", "A"], "value": "1"}]))
 @example(case=(("A", "B"), [{"members": ["A", "B"], "value": "1"}, {"members": ["B", "A"], "value": "2"}]))
 @example(case=(("A", "B"), [{"members": ["A"], "value": "1\n2"}, {"members": ["B"], "value": "+1"}]))
+# Each edge of the column pass's value check, in the second entry: the plain
+# decimal shape, ASCII digits, a non-zero ratio, a JSON int, and the lengths
+# past int64 and past MAX_DIGITS (a value of MAX_DIGITS + 1 characters that
+# Fraction still reads).
+@example(case=(("A", "B"), [{"members": ["A"], "value": "1"}, {"members": ["B"], "value": "5."}]))
+@example(case=(("A", "B"), [{"members": ["A"], "value": "1"}, {"members": ["B"], "value": ".5"}]))
+@example(case=(("A", "B"), [{"members": ["A"], "value": "1"}, {"members": ["B"], "value": "-.5"}]))
+@example(case=(("A", "B"), [{"members": ["A"], "value": "1"}, {"members": ["B"], "value": "1.2.3"}]))
+@example(case=(("A", "B"), [{"members": ["A"], "value": "1"}, {"members": ["B"], "value": "5-"}]))
+@example(case=(("A", "B"), [{"members": ["A"], "value": "1"}, {"members": ["B"], "value": "--1"}]))
+@example(case=(("A", "B"), [{"members": ["A"], "value": "1"}, {"members": ["B"], "value": "1/0"}]))
+@example(case=(("A", "B"), [{"members": ["A"], "value": "1"}, {"members": ["B"], "value": "\u0661"}]))
+@example(case=(("A", "B"), [{"members": ["A"], "value": "1"}, {"members": ["B"], "value": "1_0"}]))
+@example(case=(("A", "B"), [{"members": ["A"], "value": "1"}, {"members": ["B"], "value": " 5"}]))
+@example(case=(("A", "B"), [{"members": ["A"], "value": "1"}, {"members": ["B"], "value": 5}]))
+@example(case=(("A", "B"), [{"members": ["A"], "value": "1"}, {"members": ["B"], "value": "9" * 19}]))
+@example(case=(("A", "B"), [{"members": ["A"], "value": "1"},
+                            {"members": ["B"], "value": "0." + "0" * (MAX_DIGITS - 2) + "1"}]))
 def test_the_coalition_reader_reads_what_the_reference_reads(case):
     names, coalitions = case
     players = PlayerSet(names)
@@ -655,3 +674,81 @@ def test_plain_tables_never_reach_the_entry_reader(monkeypatch, seed):
     assert expected[-1] == negative and dict(expected[-1].coalition_values) == NEGATIVE_RATIOS
     monkeypatch.setattr(ValueTable, "mask_for", _mask_for_refused)
     assert [parse_scenario(text) for text in texts] == expected
+
+
+def _plain_coalitions(n: int) -> tuple[PlayerSet, list]:
+    """Every coalition of ``n`` players, in a shuffled order, one value in ten
+    a "p/q" ratio and the rest decimals of 0 to 2 places, some negative."""
+    rng = random.Random(n)
+    players = PlayerSet(tuple(f"p{i}" for i in range(n)))
+    coalitions = []
+    for mask in range(1, 1 << n):
+        if rng.randrange(10):
+            value = f"{rng.randint(-(10**6), 10**6)}{rng.choice(['', '.5', '.25', '.07'])}"
+        else:
+            value = f"{rng.randint(-(10**4), 10**4)}/{rng.choice([3, 7, 9, 11, 13])}"
+        members = list(players.members(mask))
+        rng.shuffle(members)
+        coalitions.append({"members": members, "value": value})
+    rng.shuffle(coalitions)
+    return players, coalitions
+
+
+def test_a_plain_document_reads_only_its_ratio_rows_one_at_a_time(monkeypatch):
+    """The column pass reads a plain document, in more than one block, and
+    calls parse_pair once per ratio row only; the entry loop never runs."""
+    players, coalitions = _plain_coalitions(11)
+    assert len(coalitions) > scenario_module._BLOCK_ROWS
+    expected = entry_by_entry_coalitions(coalitions, players.bits, players.n)
+    read = []
+
+    def counted(value):
+        read.append(value)
+        return parse_pair(value)
+
+    def refused(*args):
+        raise AssertionError("a plain document entered the entry loop")
+
+    monkeypatch.setattr(scenario_module, "parse_pair", counted)
+    monkeypatch.setattr(scenario_module, "_read_entries", refused)
+    table = scenario_module._parse_coalitions({"coalitions": coalitions}, players)
+    assert sorted(read) == sorted(entry["value"] for entry in coalitions if "/" in entry["value"])
+    assert table.numerators == expected.numerators and table.denominators == expected.denominators
+
+
+def _entry(members: str, value) -> dict:
+    return {"members": list(members), "value": value}
+
+
+@pytest.mark.parametrize("coalitions", [
+    [_entry("A", "1"), _entry("B", "2"), _entry("AB", "3.5"), _entry("C", "1/3")],
+    [_entry("A", "1"), _entry("B", "2"), _entry("C", "3"), _entry("A", "4")],  # given twice, blocks apart
+    [_entry("A", "1"), _entry("B", "2"), _entry("AB", "1e3"), _entry("C", 7)],  # read by the entry loop
+    [_entry("A", "1"), _entry("B", "2"), _entry("AB", "1/0"), _entry("C", "5.")],
+    [_entry("A", "1"), _entry("B", "2"), _entry("AB", "1"), _entry("CC", "3")],
+    [_entry("A", "1"), _entry("B", "2"), _entry("AB", "1"), {"members": ["C"]}],
+])
+def test_every_block_of_the_column_pass_reads_what_the_reference_reads(monkeypatch, coalitions):
+    players = PlayerSet(("A", "B", "C"))
+    monkeypatch.setattr(scenario_module, "_BLOCK_ROWS", 2)  # the error, or the repeat, is in the second block
+    expected = _table_or_error(lambda cs: entry_by_entry_coalitions(cs, players.bits, players.n), coalitions)
+    got = _table_or_error(lambda cs: scenario_module._parse_coalitions({"coalitions": cs}, players), coalitions)
+    assert got == expected
+
+
+def test_the_column_pass_holds_its_columns_a_block_at_a_time():
+    # Reading these 65,535 coalitions one entry at a time peaked at 2.75 MiB
+    # of tracemalloc (the table's two lists and its numerators), and the bound
+    # leaves 0.5 MiB over that for one block's columns: blocks of 1,024
+    # entries peak at 2.9 MiB, blocks of 4,096 at 3.3 MiB, and columns held
+    # for the whole list at once (masks, value texts, split digits) at 11.8 MiB.
+    players, coalitions = _plain_coalitions(16)
+    scenario_module._parse_coalitions({"coalitions": coalitions[:9]}, players)  # caches the shapes' powers of ten
+    tracemalloc.start()
+    try:
+        table = scenario_module._parse_coalitions({"coalitions": coalitions}, players)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == len(coalitions)
+    assert peak < 3.25 * 2**20, peak
