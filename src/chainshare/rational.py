@@ -101,15 +101,16 @@ def balanced_fold(combine: Callable, items: Sequence):
     each index range is split at its middle, its halves folded depth first,
     the left one first, and the two joined. One item comes back as it is.
     An item takes part in at most ceil(log2 len(items)) joins, so exact sums
-    and lcms stay between small operands, not the whole running value."""
+    and lcms stay between small operands, not the whole running value. No
+    closure recurses, so no cycle keeps ``combine`` alive after the fold."""
+    return _fold(combine, items, 0, len(items))
 
-    def fold(low: int, high: int):
-        if high - low <= 1:
-            return items[low]
-        middle = (low + high) // 2
-        return combine(fold(low, middle), fold(middle, high))
 
-    return fold(0, len(items))
+def _fold(combine: Callable, items: Sequence, low: int, high: int):
+    if high - low <= 1:
+        return items[low]
+    middle = (low + high) // 2
+    return combine(_fold(combine, items, low, middle), _fold(combine, items, middle, high))
 
 
 def exact_decimal(value: Fraction) -> str | None:

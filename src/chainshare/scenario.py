@@ -24,19 +24,20 @@ A scenario is a UTF-8 JSON document::
 
 Numbers are strings, either decimals ("0.6648") or integer ratios
 ("6648/9984"), and are parsed exactly. Coalition values are read a
-column at a time, in blocks of entries, straight into the integer-pair
-:class:`~chainshare.game.ValueTable` that the game built from the
-scenario uses as it is; only a document with an error, or with a value
-that is not a plain decimal or ratio string, is read again one entry at a
-time, which words the error. ``factors`` and ``ahp`` are mutually exclusive;
-an alternatives entry is a player->score map of direct normalized scores
-or a full pairwise matrix over the players in order. Member lists are
+column at a time, in blocks of entries, with the cyclic collector paused,
+straight into the :class:`~chainshare.game.ValueTable` of integer pairs
+the game uses as it is; from a block with an error, or with a value not a
+plain decimal or ratio string, they are read one entry at a time, which
+words the error. ``factors`` and ``ahp`` are mutually exclusive; an
+alternatives entry is a player->score map of direct normalized scores or
+a full pairwise matrix over the players in order. Member lists are
 canonicalized on parse, so permuted lists name the same coalition.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import re
 from collections import deque
@@ -173,11 +174,11 @@ def _parse_coalitions(doc: dict, players: PlayerSet) -> ValueTable:
 
     The entries are read a column at a time, in blocks of ``_BLOCK_ROWS``,
     by :func:`_read_columns`. A coalition given twice fills one slot twice,
-    so the table then holds fewer values than there are entries. Only a
-    document the column pass refuses, one with an error or with a value that
-    is not a plain decimal or ratio string ("1e3", "+1", a JSON int), is read
-    again from the start by :func:`_read_entries`, one entry at a time, which
-    words the first error or reads the values the column pass declined.
+    so the table then holds fewer values than there are entries. From the
+    first block the column pass refuses (an error, or a value not a plain
+    decimal or ratio string: "1e3", "+1", a JSON int), :func:`_read_entries`
+    reads on one entry at a time, which words the first error or reads the
+    values declined; a repeat before that block sends it back to the start.
     """
     coalitions = doc.get("coalitions")
     if coalitions is None:
@@ -185,16 +186,21 @@ def _parse_coalitions(doc: dict, players: PlayerSet) -> ValueTable:
     if not isinstance(coalitions, list) or not coalitions:
         raise ScenarioError("must be a non-empty list of {members, value} entries", "coalitions")
     table = ValueTable(players.n)
-    starts = range(0, len(coalitions), _BLOCK_ROWS)
-    if all(_read_columns(coalitions[i : i + _BLOCK_ROWS], players.bits, table) for i in starts):
-        if len(table) == len(coalitions):
-            return table
-    return _read_entries(coalitions, players.bits, ValueTable(players.n))
+    for start in range(0, len(coalitions), _BLOCK_ROWS):
+        if not _read_columns(coalitions[start : start + _BLOCK_ROWS], players.bits, table):
+            break
+    else:
+        start = len(coalitions)
+    if len(table) != start:  # a coalition given twice before ``start``
+        start, table = 0, ValueTable(players.n)
+    elif start == len(coalitions):
+        return table
+    return _read_entries(coalitions, players.bits, table, start)
 
 
 def _read_columns(entries: list, bits: dict[str, int], table: ValueTable) -> bool:
-    """Fill ``table`` from ``entries``, one column at a time; False, with the
-    table part filled, for a block the entry loop must read or refuse.
+    """Fill ``table`` from ``entries``, one column at a time; False, with
+    nothing written, for a block the entry loop must read or refuse.
 
     Every entry must be a dict of the keys members and value, its members a
     list and its value a string. Each mask is one sum of ``bits``, which
@@ -221,35 +227,36 @@ def _read_columns(entries: list, bits: dict[str, int], table: ValueTable) -> boo
     if 0 in masks or list(map(int.bit_count, masks)) != list(map(len, members)):
         return False
     numerators, denominators = table.numerators, table.denominators
+    ratios = []
     text = ",".join(values)
     if "/" in text:
         ratio = list(map(contains, values, repeat("/")))
         try:
-            for mask, value in zip(compress(masks, ratio), compress(values, ratio)):
-                numerators[mask], denominators[mask] = parse_pair(value)
+            ratios = list(zip(compress(masks, ratio), map(parse_pair, compress(values, ratio))))
         except NumberError:
             return False
         plain = list(map(not_, ratio))
         masks, values = list(compress(masks, plain)), list(compress(values, plain))
         text = ",".join(values)
-    if not values:
-        return True
-    shapes = text.translate(_ZEROS)
-    power = dict.fromkeys(shapes.split(","))
-    if shapes.count(",") != len(values) - 1:  # a comma inside a value
-        return False
-    for shape in power:
-        if len(shape) > MAX_DIGITS or not _PLAIN_SHAPE(shape):
+    if values:
+        shapes = text.translate(_ZEROS)
+        power = dict.fromkeys(shapes.split(","))
+        if shapes.count(",") != len(values) - 1:  # a comma inside a value
             return False
-        power[shape] = _power_of_ten(len(shape.partition(".")[2]))
-    deque(map(denominators.__setitem__, masks, map(power.__getitem__, shapes.split(","))), 0)
-    deque(map(numerators.__setitem__, masks, map(int, text.replace(".", "").split(","))), 0)
+        for shape in power:
+            if len(shape) > MAX_DIGITS or not _PLAIN_SHAPE(shape):
+                return False
+            power[shape] = _power_of_ten(len(shape.partition(".")[2]))
+        deque(map(denominators.__setitem__, masks, map(power.__getitem__, shapes.split(","))), 0)
+        deque(map(numerators.__setitem__, masks, map(int, text.replace(".", "").split(","))), 0)
+    for mask, (numerator, denominator) in ratios:
+        numerators[mask], denominators[mask] = numerator, denominator
     return True
 
 
-def _read_entries(coalitions: list, bits: dict[str, int], table: ValueTable) -> ValueTable:
-    """``table`` filled one entry at a time, or the first error in document
-    order, at its entry's locus.
+def _read_entries(coalitions: list, bits: dict[str, int], table: ValueTable, start: int) -> ValueTable:
+    """``table`` filled one entry at a time from ``coalitions[start]`` on,
+    or the first error in document order there, at its entry's locus.
 
     Each member list's mask is one sum of ``bits``; only a list that sum
     refuses (an unknown or unhashable name, an empty list, a repeated
@@ -258,7 +265,7 @@ def _read_entries(coalitions: list, bits: dict[str, int], table: ValueTable) -> 
     """
     numerators, denominators = table.numerators, table.denominators
     try:  # around the loop, not per entry: the locus is built only to raise
-        for i, entry in enumerate(coalitions):
+        for i, entry in enumerate(coalitions[start:], start):
             if not isinstance(entry, dict) or entry.keys() != _ENTRY_KEYS:
                 raise ScenarioError("each coalition needs exactly the keys 'members' and 'value'", f"coalitions[{i}]")
             members = entry["members"]
@@ -328,8 +335,20 @@ def parse_scenario(text: str) -> ScenarioFile:
     """Parse and validate a scenario document from JSON text.
 
     Raises :class:`ScenarioError` with a locus ("coalitions[3].members",
-    "ahp.alternatives.R1", ...) for every schema violation.
+    "ahp.alternatives.R1", ...) for every schema violation. The cyclic
+    collector is paused while the document is decoded and read (a decoded
+    document holds no cycles), and the caller's collector state restored.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_document(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse_document(text: str) -> ScenarioFile:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

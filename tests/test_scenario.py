@@ -736,6 +736,56 @@ def test_every_block_of_the_column_pass_reads_what_the_reference_reads(monkeypat
     assert got == expected
 
 
+@pytest.mark.parametrize("coalitions, start", [
+    ([_entry("A", "1"), _entry("B", "2"), _entry("C", "3"), _entry("AB", "1e3")], 2),  # read on from the block
+    ([_entry("A", "1"), _entry("B", "2"), _entry("A", 4)], 2),  # a repeat the restart finds in the table
+    ([_entry("A", "1"), _entry("B", "2"), _entry("AB", "1/3"), _entry("C", "5.")], 2),  # the block's ratio unwritten
+    ([_entry("A", "1"), _entry("A", "2"), _entry("B", "1e3")], 0),  # a repeat before the block: from the start
+    ([_entry("A", "1"), _entry("A", "2"), _entry("B", "3")], 0),  # every block read, a repeat left
+    ([_entry("A", "1"), _entry("B", "2"), _entry("C", "3"), _entry("C", "4")], 0),  # the repeat in the last block
+])
+def test_the_entry_loop_reads_on_from_the_refused_block(monkeypatch, coalitions, start):
+    """A refused block is read one entry at a time from its first entry on,
+    into the table the blocks before it filled, unless those blocks hold a
+    repeat, which only a read from the start words at its own entry."""
+    players = PlayerSet(("A", "B", "C"))
+    monkeypatch.setattr(scenario_module, "_BLOCK_ROWS", 2)
+    starts = []
+    read_entries = scenario_module._read_entries
+
+    def recorded(coalitions, bits, table, start):
+        starts.append(start)
+        return read_entries(coalitions, bits, table, start)
+
+    monkeypatch.setattr(scenario_module, "_read_entries", recorded)
+    expected = _table_or_error(lambda cs: entry_by_entry_coalitions(cs, players.bits, players.n), coalitions)
+    got = _table_or_error(lambda cs: scenario_module._parse_coalitions({"coalitions": cs}, players), coalitions)
+    assert got == expected
+    assert starts == [start]
+
+
+def test_one_declined_value_sends_only_its_block_to_the_entry_loop(monkeypatch):
+    players, coalitions = _plain_coalitions(11)
+    coalitions[-1] = {**coalitions[-1], "value": 1000}  # a JSON int, which the column pass declines
+    expected = entry_by_entry_coalitions(coalitions, players.bits, players.n)
+    read = []
+
+    def counted(value):
+        read.append(value)
+        return parse_pair(value)
+
+    monkeypatch.setattr(scenario_module, "parse_pair", counted)
+    table = scenario_module._parse_coalitions({"coalitions": coalitions}, players)
+    assert table.numerators == expected.numerators and table.denominators == expected.denominators
+    start = (len(coalitions) - 1) // scenario_module._BLOCK_ROWS * scenario_module._BLOCK_ROWS
+    assert start > 0
+    # the column pass reads the ratio rows before the last block, and the
+    # entry loop every value of the last block, the int as its text; no
+    # entry is read twice
+    ratios = [entry["value"] for entry in coalitions[:start] if "/" in entry["value"]]
+    assert sorted(read) == sorted(ratios + [str(entry["value"]) for entry in coalitions[start:]])
+
+
 def test_the_column_pass_holds_its_columns_a_block_at_a_time():
     # Reading these 65,535 coalitions one entry at a time peaked at 2.75 MiB
     # of tracemalloc (the table's two lists and its numerators), and the bound
