@@ -6,7 +6,9 @@ rather than tolerances. Every number the engines read (a coalition
 value, a factor, an oracle's answer) goes through one reader,
 :func:`parse_pair`: decimal strings, ratio strings, ints, Decimals,
 Fractions and floats become an exact integer (numerator, denominator)
-pair, with no Fraction built for a plain decimal or ratio string.
+pair. The plain grammar, ASCII decimals and ratios within ``MAX_DIGITS``
+characters, is defined here alone: such a string is read with no Fraction
+built, and :func:`decimal_power` serves the scenario reader's column pass.
 :func:`balanced_fold` joins a list of exact values (sums, lcms) as a
 balanced tree, so that most joins are of small operands.
 """
@@ -55,6 +57,12 @@ def _check_digits(number: Decimal) -> None:
 @functools.cache
 def _power_of_ten(places: int) -> int:
     return 10**places  # one int per length, shared by every pair with that many places
+
+
+def decimal_power(text: str) -> int | None:
+    """10**places of plain decimal ``text`` ("-12.50" gives 100), or None for any other text."""
+    plain = len(text) <= MAX_DIGITS and _PLAIN(text)
+    return _power_of_ten(len(plain[2] or "")) if plain and plain[1] else None
 
 
 def parse_pair(value: RationalLike) -> tuple[int, int]:

@@ -23,15 +23,17 @@ A scenario is a UTF-8 JSON document::
     }
 
 Numbers are strings, either decimals ("0.6648") or integer ratios
-("6648/9984"), and are parsed exactly. Coalition values are read a
-column at a time, in blocks of entries, with the cyclic collector paused,
-straight into the :class:`~chainshare.game.ValueTable` of integer pairs
-the game uses as it is; from a block with an error, or with a value not a
-plain decimal or ratio string, they are read one entry at a time, which
-words the error. ``factors`` and ``ahp`` are mutually exclusive; an
-alternatives entry is a player->score map of direct normalized scores or
-a full pairwise matrix over the players in order. Member lists are
-canonicalized on parse, so permuted lists name the same coalition.
+("6648/9984"), and are parsed exactly, in :mod:`chainshare.rational`'s
+one plain grammar. Coalition values are read a column at a time, in
+blocks of entries, with the cyclic collector paused, straight into the
+:class:`~chainshare.game.ValueTable` of integer pairs the game uses as
+it is. A block with an error, a coalition given twice or a value not a
+plain decimal or ratio string is read alone, one entry at a time, which
+words the error; the next block is read by columns again. ``factors``
+and ``ahp`` are mutually exclusive; an alternatives entry is a
+player->score map of direct normalized scores or a full pairwise matrix
+over the players in order. Member lists are canonicalized on parse, so
+permuted lists name the same coalition.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from __future__ import annotations
 import functools
 import gc
 import json
-import re
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,7 +54,7 @@ from .adjust import MODES, AdjustmentFactors, compute_deltas
 from .ahp import METHODS, ComparisonMatrix, CriteriaHierarchy, WeightVector, synthesize_factors
 from .errors import ChoiceError, FloatRangeError, IdentifierError, MatrixValidationError, NumberError, ScenarioError
 from .game import CharacteristicFunction, PlayerSet, ValueTable, _unique_labels
-from .rational import MAX_DIGITS, _power_of_ten, exact_string, parse_pair
+from .rational import decimal_power, exact_string, parse_pair
 
 
 @dataclass(frozen=True)
@@ -162,10 +163,8 @@ _MEMBERS, _VALUE = itemgetter("members"), itemgetter("value")
 # value texts, the split digits) is freed before the next block starts, so
 # the columns add a fixed amount, not one per entry, to the table's memory.
 _BLOCK_ROWS = 1024
-# A plain decimal's shape, its ASCII digits written as 0 ("-12.50" is "-00.00"):
-# digits on both sides of at most one dot, a minus only in front.
+# ASCII digits written as 0: a plain decimal's shape ("-12.50" is "-00.00") is one too.
 _ZEROS = str.maketrans("123456789", "000000000")
-_PLAIN_SHAPE = re.compile(r"-?0+(?:\.0+)?").fullmatch
 
 
 def _parse_coalitions(doc: dict, players: PlayerSet) -> ValueTable:
@@ -173,29 +172,23 @@ def _parse_coalitions(doc: dict, players: PlayerSet) -> ValueTable:
     order at its entry's locus.
 
     The entries are read a column at a time, in blocks of ``_BLOCK_ROWS``,
-    by :func:`_read_columns`. A coalition given twice fills one slot twice,
-    so the table then holds fewer values than there are entries. From the
-    first block the column pass refuses (an error, or a value not a plain
-    decimal or ratio string: "1e3", "+1", a JSON int), :func:`_read_entries`
-    reads on one entry at a time, which words the first error or reads the
-    values declined; a repeat before that block sends it back to the start.
+    by :func:`_read_columns`. A block it refuses (an error, a coalition
+    given twice or already in the table, or a value not a plain decimal or
+    ratio string: "1e3", "+1", a JSON int) is read alone, one entry at a
+    time, by :func:`_read_entries`, which words the block's first error or
+    reads the values declined; the column pass resumes at the next block.
     """
     coalitions = doc.get("coalitions")
     if coalitions is None:
         raise ScenarioError("missing required field", "coalitions")
     if not isinstance(coalitions, list) or not coalitions:
         raise ScenarioError("must be a non-empty list of {members, value} entries", "coalitions")
-    table = ValueTable(players.n)
+    table, bits = ValueTable(players.n), players.bits
     for start in range(0, len(coalitions), _BLOCK_ROWS):
-        if not _read_columns(coalitions[start : start + _BLOCK_ROWS], players.bits, table):
-            break
-    else:
-        start = len(coalitions)
-    if len(table) != start:  # a coalition given twice before ``start``
-        start, table = 0, ValueTable(players.n)
-    elif start == len(coalitions):
-        return table
-    return _read_entries(coalitions, players.bits, table, start)
+        block = coalitions[start : start + _BLOCK_ROWS]
+        if not _read_columns(block, bits, table):
+            _read_entries(block, bits, table, start)
+    return table
 
 
 def _read_columns(entries: list, bits: dict[str, int], table: ValueTable) -> bool:
@@ -205,28 +198,27 @@ def _read_columns(entries: list, bits: dict[str, int], table: ValueTable) -> boo
     Every entry must be a dict of the keys members and value, its members a
     list and its value a string. Each mask is one sum of ``bits``, which
     fails on an unknown or unhashable name; 0 is an empty list, and a
-    repeated member carries, so it leaves fewer bits than names. A value
-    holding "/" is a ratio, read by :func:`parse_pair` one row at a time.
-    The others must all have a plain decimal's shape, within ``MAX_DIGITS``:
-    each is then read as :func:`parse_pair` reads it, unreduced ("1.50" is
-    (150, 100)), its numerator by ``int`` of its digits and its denominator
-    a cached power of ten, one per shape.
+    repeated member carries, so it leaves fewer bits than names. No mask
+    may repeat in the block or hold a value already. A value holding "/"
+    is a ratio, read by :func:`parse_pair` one row at a time. The others
+    must all have a plain decimal's shape, whose :func:`decimal_power` is
+    each one's denominator: each is read as :func:`parse_pair` reads it,
+    unreduced ("1.50" is (150, 100)), its numerator by ``int`` of its digits.
     """
-    try:  # an entry that is not a dict, or lacks a key, raises here
+    try:  # an entry that is not a dict or lacks a key, or an unknown or unhashable name, raises here
         if set(map(len, entries)) != {2}:
             return False
         members, values = list(map(_MEMBERS, entries)), list(map(_VALUE, entries))
-    except (KeyError, TypeError):
-        return False
-    if set(map(type, members)) != {list} or set(map(type, values)) != {str}:
-        return False
-    try:
+        if set(map(type, members)) != {list} or set(map(type, values)) != {str}:
+            return False
         masks = list(map(sum, map(map, repeat(bits.__getitem__), members)))
     except (KeyError, TypeError):
         return False
     if 0 in masks or list(map(int.bit_count, masks)) != list(map(len, members)):
         return False
     numerators, denominators = table.numerators, table.denominators
+    if len(set(masks)) != len(masks) or any(map(denominators.__getitem__, masks)):
+        return False
     ratios = []
     text = ",".join(values)
     if "/" in text:
@@ -239,24 +231,22 @@ def _read_columns(entries: list, bits: dict[str, int], table: ValueTable) -> boo
         masks, values = list(compress(masks, plain)), list(compress(values, plain))
         text = ",".join(values)
     if values:
-        shapes = text.translate(_ZEROS)
-        power = dict.fromkeys(shapes.split(","))
-        if shapes.count(",") != len(values) - 1:  # a comma inside a value
+        shapes = text.translate(_ZEROS).split(",")
+        if len(shapes) != len(values):  # a comma inside a value
             return False
-        for shape in power:
-            if len(shape) > MAX_DIGITS or not _PLAIN_SHAPE(shape):
-                return False
-            power[shape] = _power_of_ten(len(shape.partition(".")[2]))
-        deque(map(denominators.__setitem__, masks, map(power.__getitem__, shapes.split(","))), 0)
+        power = {shape: decimal_power(shape) for shape in set(shapes)}
+        if None in power.values():
+            return False
+        deque(map(denominators.__setitem__, masks, map(power.__getitem__, shapes)), 0)
         deque(map(numerators.__setitem__, masks, map(int, text.replace(".", "").split(","))), 0)
     for mask, (numerator, denominator) in ratios:
         numerators[mask], denominators[mask] = numerator, denominator
     return True
 
 
-def _read_entries(coalitions: list, bits: dict[str, int], table: ValueTable, start: int) -> ValueTable:
-    """``table`` filled one entry at a time from ``coalitions[start]`` on,
-    or the first error in document order there, at its entry's locus.
+def _read_entries(block: list, bits: dict[str, int], table: ValueTable, offset: int) -> None:
+    """Fill ``table`` from ``block``, one entry at a time, or raise the
+    block's first error at its entry's locus, ``coalitions[offset + i]``.
 
     Each member list's mask is one sum of ``bits``; only a list that sum
     refuses (an unknown or unhashable name, an empty list, a repeated
@@ -265,7 +255,7 @@ def _read_entries(coalitions: list, bits: dict[str, int], table: ValueTable, sta
     """
     numerators, denominators = table.numerators, table.denominators
     try:  # around the loop, not per entry: the locus is built only to raise
-        for i, entry in enumerate(coalitions[start:], start):
+        for i, entry in enumerate(block, offset):
             if not isinstance(entry, dict) or entry.keys() != _ENTRY_KEYS:
                 raise ScenarioError("each coalition needs exactly the keys 'members' and 'value'", f"coalitions[{i}]")
             members = entry["members"]
@@ -279,12 +269,10 @@ def _read_entries(coalitions: list, bits: dict[str, int], table: ValueTable, sta
             # past bit n-1, so the slot is read last.
             if not mask or mask.bit_count() != len(members) or denominators[mask]:
                 mask = table.mask_for(bits, members)
-            value = entry["value"]
-            numerators[mask], denominators[mask] = parse_pair(value) if type(value) is str else _number_pair(value)
+            numerators[mask], denominators[mask] = _number_pair(entry["value"])
     except (IdentifierError, NumberError) as exc:
         part = "members" if isinstance(exc, IdentifierError) else "value"
         raise ScenarioError(str(exc), f"coalitions[{i}].{part}") from None
-    return table
 
 
 def _parse_ahp(doc: dict, players: tuple[str, ...]) -> AhpBlock | None:

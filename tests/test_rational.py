@@ -14,6 +14,7 @@ from chainshare.errors import InputTypeError, NumberError
 from chainshare.rational import (
     MAX_DIGITS,
     balanced_fold,
+    decimal_power,
     exact_decimal,
     exact_string,
     format_fixed,
@@ -55,6 +56,21 @@ def test_parse_rational(raw, expected):
 def test_parse_rational_rejects(raw):
     with pytest.raises(NumberError):
         parse_pair(raw)
+
+
+@pytest.mark.parametrize(
+    "text, power",
+    [("7", 1), ("-12.50", 100), ("-00.00", 100), ("0." + "0" * (MAX_DIGITS - 3) + "1", 10 ** (MAX_DIGITS - 2)),
+     ("4150/3", None), ("1e3", None), ("+1", None), ("5.", None), (".5", None), ("\u0661", None), ("", None),
+     ("0." + "0" * (MAX_DIGITS - 2) + "1", None)],
+    ids=lambda value: str(value)[:12],
+)
+def test_decimal_power_is_a_plain_decimals_denominator(text, power):
+    """The column pass's power of ten for a plain decimal is parse_pair's
+    denominator; any other text, or one past MAX_DIGITS, has none."""
+    assert decimal_power(text) == power
+    if power is not None:
+        assert parse_pair(text)[1] == power
 
 
 @pytest.mark.parametrize(

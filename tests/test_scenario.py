@@ -727,41 +727,48 @@ def _entry(members: str, value) -> dict:
     [_entry("A", "1"), _entry("B", "2"), _entry("AB", "1/0"), _entry("C", "5.")],
     [_entry("A", "1"), _entry("B", "2"), _entry("AB", "1"), _entry("CC", "3")],
     [_entry("A", "1"), _entry("B", "2"), _entry("AB", "1"), {"members": ["C"]}],
+    # given twice, three blocks apart, with a value the column pass declines between
+    [_entry("A", "1"), _entry("B", "2"), _entry("C", "3"), _entry("AB", "1e3"), _entry("AC", "5"),
+     _entry("BC", "6"), _entry("A", "7")],
+    # a value declined in the first block, then two errors in the third: the first is reported
+    [_entry("A", 7), _entry("B", "2"), _entry("C", "3"), _entry("AB", "4"), _entry("AC", "1/0"), _entry("AC", "5")],
 ])
 def test_every_block_of_the_column_pass_reads_what_the_reference_reads(monkeypatch, coalitions):
     players = PlayerSet(("A", "B", "C"))
-    monkeypatch.setattr(scenario_module, "_BLOCK_ROWS", 2)  # the error, or the repeat, is in the second block
+    monkeypatch.setattr(scenario_module, "_BLOCK_ROWS", 2)  # so each case spans blocks
     expected = _table_or_error(lambda cs: entry_by_entry_coalitions(cs, players.bits, players.n), coalitions)
     got = _table_or_error(lambda cs: scenario_module._parse_coalitions({"coalitions": cs}, players), coalitions)
     assert got == expected
 
 
 @pytest.mark.parametrize("coalitions, start", [
-    ([_entry("A", "1"), _entry("B", "2"), _entry("C", "3"), _entry("AB", "1e3")], 2),  # read on from the block
-    ([_entry("A", "1"), _entry("B", "2"), _entry("A", 4)], 2),  # a repeat the restart finds in the table
+    # a value declined in the middle block; the last block is read by columns
+    ([_entry("A", "1"), _entry("B", "2"), _entry("AB", "1e3"), _entry("C", "3"), _entry("AC", "4"),
+      _entry("BC", "5")], 2),
+    ([_entry("A", "1"), _entry("B", "2"), _entry("C", "3"), _entry("A", "4")], 2),  # a repeat across blocks
     ([_entry("A", "1"), _entry("B", "2"), _entry("AB", "1/3"), _entry("C", "5.")], 2),  # the block's ratio unwritten
-    ([_entry("A", "1"), _entry("A", "2"), _entry("B", "1e3")], 0),  # a repeat before the block: from the start
-    ([_entry("A", "1"), _entry("A", "2"), _entry("B", "3")], 0),  # every block read, a repeat left
-    ([_entry("A", "1"), _entry("B", "2"), _entry("C", "3"), _entry("C", "4")], 0),  # the repeat in the last block
+    ([_entry("A", "1"), _entry("A", "2"), _entry("B", "3")], 0),  # a repeat inside the first block
+    ([_entry("A", 7), _entry("B", "2"), _entry("C", "3"), _entry("AB", "4")], 0),  # a JSON int in the first block
+    ([_entry("A", "1"), _entry("A", "2"), _entry("B", "1e3")], 0),  # the first block's error ends the read
 ])
 def test_the_entry_loop_reads_on_from_the_refused_block(monkeypatch, coalitions, start):
-    """A refused block is read one entry at a time from its first entry on,
-    into the table the blocks before it filled, unless those blocks hold a
-    repeat, which only a read from the start words at its own entry."""
+    """Only the block the column pass refuses is read one entry at a time,
+    at its own offset, into the table the blocks before it filled; the
+    column pass reads on from the next block."""
     players = PlayerSet(("A", "B", "C"))
     monkeypatch.setattr(scenario_module, "_BLOCK_ROWS", 2)
-    starts = []
+    calls = []
     read_entries = scenario_module._read_entries
 
-    def recorded(coalitions, bits, table, start):
-        starts.append(start)
-        return read_entries(coalitions, bits, table, start)
+    def recorded(block, bits, table, offset):
+        calls.append((offset, len(block)))
+        return read_entries(block, bits, table, offset)
 
     monkeypatch.setattr(scenario_module, "_read_entries", recorded)
     expected = _table_or_error(lambda cs: entry_by_entry_coalitions(cs, players.bits, players.n), coalitions)
     got = _table_or_error(lambda cs: scenario_module._parse_coalitions({"coalitions": cs}, players), coalitions)
     assert got == expected
-    assert starts == [start]
+    assert calls == [(start, len(coalitions[start : start + 2]))]
 
 
 def test_one_declined_value_sends_only_its_block_to_the_entry_loop(monkeypatch):
