@@ -27,9 +27,10 @@ Numbers are strings, either decimals ("0.6648") or integer ratios
 one plain grammar. Coalition values are read a column at a time, in
 blocks of entries, with the cyclic collector paused, straight into the
 :class:`~chainshare.game.ValueTable` of integer pairs the game uses as
-it is. A block with an error, a coalition given twice or a value not a
-plain decimal or ratio string is read alone, one entry at a time, which
-words the error; the next block is read by columns again. ``factors``
+it is: a plain decimal by its digit shape, and any other valid value (a
+ratio, "1e3", a JSON int) by :func:`~chainshare.rational.parse_pair`.
+Only a block that holds an error, such as a coalition given twice, is
+read again, one entry at a time, to word its first error. ``factors``
 and ``ahp`` are mutually exclusive; an alternatives entry is a
 player->score map of direct normalized scores or a full pairwise matrix
 over the players in order. Member lists are canonicalized on parse, so
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from itertools import compress, repeat
-from operator import contains, itemgetter, not_
+from operator import itemgetter, not_
 from pathlib import Path
 from typing import Mapping
 
@@ -172,11 +173,9 @@ def _parse_coalitions(doc: dict, players: PlayerSet) -> ValueTable:
     order at its entry's locus.
 
     The entries are read a column at a time, in blocks of ``_BLOCK_ROWS``,
-    by :func:`_read_columns`. A block it refuses (an error, a coalition
-    given twice or already in the table, or a value not a plain decimal or
-    ratio string: "1e3", "+1", a JSON int) is read alone, one entry at a
-    time, by :func:`_read_entries`, which words the block's first error or
-    reads the values declined; the column pass resumes at the next block.
+    by :func:`_read_columns`, which reads every valid block. A block it
+    refuses holds an error, which :func:`_read_entries` words, reading that
+    block alone, one entry at a time.
     """
     coalitions = doc.get("coalitions")
     if coalitions is None:
@@ -193,23 +192,25 @@ def _parse_coalitions(doc: dict, players: PlayerSet) -> ValueTable:
 
 def _read_columns(entries: list, bits: dict[str, int], table: ValueTable) -> bool:
     """Fill ``table`` from ``entries``, one column at a time; False, with
-    nothing written, for a block the entry loop must read or refuse.
+    nothing written, for a block that holds an error.
 
     Every entry must be a dict of the keys members and value, its members a
-    list and its value a string. Each mask is one sum of ``bits``, which
-    fails on an unknown or unhashable name; 0 is an empty list, and a
-    repeated member carries, so it leaves fewer bits than names. No mask
-    may repeat in the block or hold a value already. A value holding "/"
-    is a ratio, read by :func:`parse_pair` one row at a time. The others
-    must all have a plain decimal's shape, whose :func:`decimal_power` is
-    each one's denominator: each is read as :func:`parse_pair` reads it,
-    unreduced ("1.50" is (150, 100)), its numerator by ``int`` of its digits.
+    list and its value a string or an int, read as its decimal text. Each
+    mask is one sum of ``bits``, which fails on an unknown or unhashable
+    name; 0 is an empty list, and a repeated member carries, so it leaves
+    fewer bits than names. No mask may repeat in the block or hold a value
+    already. A value with a plain decimal's shape, whose
+    :func:`decimal_power` is its denominator, is read as :func:`parse_pair`
+    reads it, unreduced ("1.50" is (150, 100)), its numerator by ``int`` of
+    its digits. Every other value (a ratio, "1e3", "+12", "5.") goes
+    through :func:`parse_pair` one row at a time.
     """
     try:  # an entry that is not a dict or lacks a key, or an unknown or unhashable name, raises here
         if set(map(len, entries)) != {2}:
             return False
         members, values = list(map(_MEMBERS, entries)), list(map(_VALUE, entries))
-        if set(map(type, members)) != {list} or set(map(type, values)) != {str}:
+        types = set(map(type, values))
+        if set(map(type, members)) != {list} or not types <= {str, int}:
             return False
         masks = list(map(sum, map(map, repeat(bits.__getitem__), members)))
     except (KeyError, TypeError):
@@ -219,39 +220,36 @@ def _read_columns(entries: list, bits: dict[str, int], table: ValueTable) -> boo
     numerators, denominators = table.numerators, table.denominators
     if len(set(masks)) != len(masks) or any(map(denominators.__getitem__, masks)):
         return False
-    ratios = []
+    if int in types:
+        values = list(map(str, values))
     text = ",".join(values)
-    if "/" in text:
-        ratio = list(map(contains, values, repeat("/")))
+    shapes = text.translate(_ZEROS).split(",")
+    if len(shapes) != len(values):  # a comma inside a value
+        return False
+    power = {shape: decimal_power(shape) for shape in set(shapes)}
+    powers = list(map(power.__getitem__, shapes))
+    others = []
+    if None in power.values():
+        other = list(map(not_, powers))  # True where the power is None: a power of ten is never 0
         try:
-            ratios = list(zip(compress(masks, ratio), map(parse_pair, compress(values, ratio))))
+            others = list(zip(compress(masks, other), map(parse_pair, compress(values, other))))
         except NumberError:
             return False
-        plain = list(map(not_, ratio))
-        masks, values = list(compress(masks, plain)), list(compress(values, plain))
-        text = ",".join(values)
-    if values:
-        shapes = text.translate(_ZEROS).split(",")
-        if len(shapes) != len(values):  # a comma inside a value
-            return False
-        power = {shape: decimal_power(shape) for shape in set(shapes)}
-        if None in power.values():
-            return False
-        deque(map(denominators.__setitem__, masks, map(power.__getitem__, shapes)), 0)
+        masks, text = list(compress(masks, powers)), ",".join(compress(values, powers))
+        powers = list(filter(None, powers))
+    if masks:
+        deque(map(denominators.__setitem__, masks, powers), 0)
         deque(map(numerators.__setitem__, masks, map(int, text.replace(".", "").split(","))), 0)
-    for mask, (numerator, denominator) in ratios:
+    for mask, (numerator, denominator) in others:
         numerators[mask], denominators[mask] = numerator, denominator
     return True
 
 
 def _read_entries(block: list, bits: dict[str, int], table: ValueTable, offset: int) -> None:
-    """Fill ``table`` from ``block``, one entry at a time, or raise the
-    block's first error at its entry's locus, ``coalitions[offset + i]``.
-
-    Each member list's mask is one sum of ``bits``; only a list that sum
-    refuses (an unknown or unhashable name, an empty list, a repeated
-    member, a coalition given twice) goes through
-    :meth:`ValueTable.mask_for`, which words the error.
+    """Raise the first error of ``block``, a block the column pass refused,
+    at its entry's locus, ``coalitions[offset + i]``: the entries before it
+    are read into ``table`` one at a time, each mask through
+    :meth:`ValueTable.mask_for`, which words a refused member list.
     """
     numerators, denominators = table.numerators, table.denominators
     try:  # around the loop, not per entry: the locus is built only to raise
@@ -261,14 +259,7 @@ def _read_entries(block: list, bits: dict[str, int], table: ValueTable, offset: 
             members = entry["members"]
             if not isinstance(members, list):
                 raise ScenarioError("members must be a non-empty list", f"coalitions[{i}].members")
-            try:
-                mask = sum(map(bits.__getitem__, members))
-            except (KeyError, TypeError):
-                mask = 0
-            # A repeated member leaves fewer bits than names, and may carry
-            # past bit n-1, so the slot is read last.
-            if not mask or mask.bit_count() != len(members) or denominators[mask]:
-                mask = table.mask_for(bits, members)
+            mask = table.mask_for(bits, members)
             numerators[mask], denominators[mask] = _number_pair(entry["value"])
     except (IdentifierError, NumberError) as exc:
         part = "members" if isinstance(exc, IdentifierError) else "value"

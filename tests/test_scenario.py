@@ -723,14 +723,14 @@ def _entry(members: str, value) -> dict:
 @pytest.mark.parametrize("coalitions", [
     [_entry("A", "1"), _entry("B", "2"), _entry("AB", "3.5"), _entry("C", "1/3")],
     [_entry("A", "1"), _entry("B", "2"), _entry("C", "3"), _entry("A", "4")],  # given twice, blocks apart
-    [_entry("A", "1"), _entry("B", "2"), _entry("AB", "1e3"), _entry("C", 7)],  # read by the entry loop
+    [_entry("A", "1"), _entry("B", "2"), _entry("AB", "1e3"), _entry("C", 7)],  # valid, not plain: read by columns
     [_entry("A", "1"), _entry("B", "2"), _entry("AB", "1/0"), _entry("C", "5.")],
     [_entry("A", "1"), _entry("B", "2"), _entry("AB", "1"), _entry("CC", "3")],
     [_entry("A", "1"), _entry("B", "2"), _entry("AB", "1"), {"members": ["C"]}],
-    # given twice, three blocks apart, with a value the column pass declines between
+    # given twice, three blocks apart, with a valid value that is not plain between
     [_entry("A", "1"), _entry("B", "2"), _entry("C", "3"), _entry("AB", "1e3"), _entry("AC", "5"),
      _entry("BC", "6"), _entry("A", "7")],
-    # a value declined in the first block, then two errors in the third: the first is reported
+    # a JSON int in the first block, then two errors in the third: the first is reported
     [_entry("A", 7), _entry("B", "2"), _entry("C", "3"), _entry("AB", "4"), _entry("AC", "1/0"), _entry("AC", "5")],
 ])
 def test_every_block_of_the_column_pass_reads_what_the_reference_reads(monkeypatch, coalitions):
@@ -742,19 +742,19 @@ def test_every_block_of_the_column_pass_reads_what_the_reference_reads(monkeypat
 
 
 @pytest.mark.parametrize("coalitions, start", [
-    # a value declined in the middle block; the last block is read by columns
-    ([_entry("A", "1"), _entry("B", "2"), _entry("AB", "1e3"), _entry("C", "3"), _entry("AC", "4"),
+    # an unknown member in the middle block; the last block is never read
+    ([_entry("A", "1"), _entry("B", "2"), _entry("AD", "1"), _entry("C", "3"), _entry("AC", "4"),
       _entry("BC", "5")], 2),
     ([_entry("A", "1"), _entry("B", "2"), _entry("C", "3"), _entry("A", "4")], 2),  # a repeat across blocks
-    ([_entry("A", "1"), _entry("B", "2"), _entry("AB", "1/3"), _entry("C", "5.")], 2),  # the block's ratio unwritten
+    ([_entry("A", "1"), _entry("B", "2"), _entry("AB", "1/3"), _entry("C", "1/0")], 2),  # the block's ratio unwritten
     ([_entry("A", "1"), _entry("A", "2"), _entry("B", "3")], 0),  # a repeat inside the first block
-    ([_entry("A", 7), _entry("B", "2"), _entry("C", "3"), _entry("AB", "4")], 0),  # a JSON int in the first block
+    ([_entry("A", 7.5), _entry("B", "2"), _entry("C", "3"), _entry("AB", "4")], 0),  # a JSON float in the first block
     ([_entry("A", "1"), _entry("A", "2"), _entry("B", "1e3")], 0),  # the first block's error ends the read
 ])
 def test_the_entry_loop_reads_on_from_the_refused_block(monkeypatch, coalitions, start):
-    """Only the block the column pass refuses is read one entry at a time,
-    at its own offset, into the table the blocks before it filled; the
-    column pass reads on from the next block."""
+    """Only the block the column pass refuses, which holds an error, is read
+    one entry at a time, at its own offset, into the table the blocks before
+    it filled, and the read ends at that block's first error."""
     players = PlayerSet(("A", "B", "C"))
     monkeypatch.setattr(scenario_module, "_BLOCK_ROWS", 2)
     calls = []
@@ -771,9 +771,14 @@ def test_the_entry_loop_reads_on_from_the_refused_block(monkeypatch, coalitions,
     assert calls == [(start, len(coalitions[start : start + 2]))]
 
 
-def test_one_declined_value_sends_only_its_block_to_the_entry_loop(monkeypatch):
+def test_a_valid_value_that_is_not_plain_is_read_by_the_column_pass(monkeypatch):
+    """JSON ints, and strings that are valid but not plain decimals, spread
+    over the blocks: the column pass reads the whole document, and calls
+    parse_pair once per ratio row and once per value that is not plain."""
     players, coalitions = _plain_coalitions(11)
-    coalitions[-1] = {**coalitions[-1], "value": 1000}  # a JSON int, which the column pass declines
+    odd = {3: 1000, 700: -250, 1100: "1e3", 1500: "+12", 1501: " 5", 1900: "5.", 2000: "١٢", 2046: "1_000"}
+    for i, value in odd.items():
+        coalitions[i] = {**coalitions[i], "value": value}
     expected = entry_by_entry_coalitions(coalitions, players.bits, players.n)
     read = []
 
@@ -781,25 +786,33 @@ def test_one_declined_value_sends_only_its_block_to_the_entry_loop(monkeypatch):
         read.append(value)
         return parse_pair(value)
 
+    def refused(*args):
+        raise AssertionError("a valid document entered the entry loop")
+
     monkeypatch.setattr(scenario_module, "parse_pair", counted)
+    monkeypatch.setattr(scenario_module, "_read_entries", refused)
     table = scenario_module._parse_coalitions({"coalitions": coalitions}, players)
+    ratios = [entry["value"] for entry in coalitions if "/" in str(entry["value"])]
+    assert sorted(read) == sorted(ratios + [value for value in odd.values() if isinstance(value, str)])
     assert table.numerators == expected.numerators and table.denominators == expected.denominators
-    start = (len(coalitions) - 1) // scenario_module._BLOCK_ROWS * scenario_module._BLOCK_ROWS
-    assert start > 0
-    # the column pass reads the ratio rows before the last block, and the
-    # entry loop every value of the last block, the int as its text; no
-    # entry is read twice
-    ratios = [entry["value"] for entry in coalitions[:start] if "/" in entry["value"]]
-    assert sorted(read) == sorted(ratios + [str(entry["value"]) for entry in coalitions[start:]])
 
 
-def test_the_column_pass_holds_its_columns_a_block_at_a_time():
+def _whole_values_as_ints(coalitions: list) -> list:
+    return [{**entry, "value": int(entry["value"])} if entry["value"].lstrip("-").isdigit() else entry
+            for entry in coalitions]
+
+
+@pytest.mark.parametrize("write", [list, _whole_values_as_ints], ids=["strings", "ints"])
+def test_the_column_pass_holds_its_columns_a_block_at_a_time(write):
     # Reading these 65,535 coalitions one entry at a time peaked at 2.75 MiB
     # of tracemalloc (the table's two lists and its numerators), and the bound
     # leaves 0.5 MiB over that for one block's columns: blocks of 1,024
     # entries peak at 2.9 MiB, blocks of 4,096 at 3.3 MiB, and columns held
     # for the whole list at once (masks, value texts, split digits) at 11.8 MiB.
+    # With every whole value a JSON int, each block's texts are made from its
+    # ints, and the peak stays within the same bound.
     players, coalitions = _plain_coalitions(16)
+    coalitions = write(coalitions)
     scenario_module._parse_coalitions({"coalitions": coalitions[:9]}, players)  # caches the shapes' powers of ten
     tracemalloc.start()
     try:
