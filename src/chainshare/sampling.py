@@ -21,9 +21,11 @@ permutations, and 80 MiB from there.
 Every other oracle takes the sort path, :func:`_sorted_steps`, one chunk
 at a time: :func:`_count_steps` counts a chunk's distinct steps by
 sorting, and :func:`_merge_chunk` finds the chunk's coalitions in the
-run's one coalition table, has :func:`_evaluate` ask the oracle once per
-coalition new to the run, in ascending mask order, and gives each step
-the values of its two coalitions; no step is probed one by one in Python.
+run's one coalition table and has :func:`_evaluate` ask the oracle once
+per coalition new to the run, in ascending mask order, ``_SUM_BLOCK`` at
+a time. Each step holds the positions of its two coalitions, and a block
+of steps gathers their values when it is summed; no step is probed one
+by one in Python.
 
 On both paths :func:`_sum_block` adds the steps' marginals to each
 player's integer sums per denominator, and only those sums become
@@ -60,9 +62,10 @@ DEFAULT_CHUNK_SIZE = 4096
 # chunk size and 16.7 MiB at this bound.
 MAX_CHUNK_SIZE = 65_536
 
-# Steps whose marginals are summed at a time: counted steps wait until this
-# many are due, and the sums' temporaries peak near fifteen columns of this
-# size, in int64 or Python ints of any size.
+# Steps whose marginals are summed at a time, and coalitions the sort path asks
+# the oracle for at a time: counted steps wait until this many are due, each
+# block's values are gathered when it is summed, and the sums' temporaries peak
+# near fifteen columns of this size, in int64 or Python ints of any size.
 _SUM_BLOCK = 8192
 
 # Count-table slots searched for steps at a time: numpy finds the nonzero
@@ -139,8 +142,9 @@ def _count_steps(n: int, seed: int, chunk_index: int, count: int):
     Returns the coalition keys, sorted, and for each the chunk's first
     permutation that needs it; then for each distinct step, in (mask,
     player) order, its count, its player, and the positions of its prefix
-    plus player and of its prefix among the coalitions. The last three
-    are in the narrow dtypes they were counted in.
+    plus player and of its prefix among the coalitions. Permutations and
+    counts are in the narrowest unsigned dtype that holds ``count``, and
+    the last three in the narrow dtypes they were counted in.
     """
     perms = _draw(n, seed, chunk_index, count)
     players = perms.astype(np.min_scalar_type(n - 1)).ravel()
@@ -186,7 +190,8 @@ def _count_steps(n: int, seed: int, chunk_index: int, count: int):
     del words, word
     # a prefix is first needed by its first row's permutation; the grand coalition by every one
     heads //= n
-    needed_by = np.append(heads, 0)
+    needed_by = np.zeros(prefixes + 1, np.min_scalar_type(count))
+    needed_by[:-1] = heads
     del rows, heads
     key = rank[:-1].astype(np.min_scalar_type(prefixes * n - 1))
     key *= n
@@ -201,8 +206,8 @@ def _count_steps(n: int, seed: int, chunk_index: int, count: int):
     del new
     first = order[starts]
     del order
-    counts = np.empty_like(starts)
-    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts = np.empty(starts.size, np.min_scalar_type(count))
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1], casting="unsafe")
     counts[-1] = size - starts[-1]
     del starts
     prefix = rank[first]
@@ -255,45 +260,61 @@ class _SortedKeys:
             self.arrays.append(tuple(np.insert(a.astype(np.result_type(a, b), copy=False), at, b) for a, b in zip(old, new)))
 
 
-def _evaluate(oracle: Callable, players: PlayerSet, keys: np.ndarray, permutations: np.ndarray):
-    """The oracle's answers for the coalitions of ``keys``, in that order.
+def _evaluate(oracle: Callable, players: PlayerSet, keys: np.ndarray, needed_by: np.ndarray, chunk_start: int):
+    """The oracle's answers for the coalitions of ``keys``, in that order, asked ``_SUM_BLOCK`` at a time.
 
-    The oracle is called once per key, in order, and a failure names the
-    answer's entry of ``permutations``. Returns a numerator and a
-    denominator column, each read by :func:`_column`.
+    The oracle is called once per key, in order, and a failure at key k
+    names permutation ``chunk_start + needed_by[k]``. A slice's answers
+    become columns by :func:`_column` before the next slice is asked, and
+    are written into one numerator and one denominator column over all
+    the keys: int64, widened to Python ints once a slice needs them.
     """
-    num, den = [0] * keys.size, [0] * keys.size
-    masks, size = keys.tobytes(), keys.itemsize
-    for k in range(keys.size):
-        mask = int.from_bytes(masks[k * size : (k + 1) * size], "big")
+    columns = [np.empty(keys.size, np.int64), np.empty(keys.size, np.int64)]
+    for start in range(0, keys.size, _SUM_BLOCK):
+        block = keys[start : start + _SUM_BLOCK]
+        # a one-word key's big-endian bytes are one uint64
+        masks = block.view(">u8").tolist() if keys.itemsize == 8 else [int.from_bytes(key, "big") for key in block.tolist()]
+        num, den = [0] * len(masks), [0] * len(masks)
         try:
-            num[k], den[k] = parse_pair(oracle(Coalition(players, mask)))
+            for k, mask in enumerate(masks):
+                num[k], den[k] = parse_pair(oracle(Coalition(players, mask)))
         except Exception as exc:
-            raise OracleError(int(permutations[k]), exc) from exc
-    return _column(num), _column(den)
+            raise OracleError(chunk_start + int(needed_by[start + k]), exc) from exc
+        for c, values in enumerate(map(_column, (num, den))):
+            columns[c] = columns[c].astype(np.result_type(columns[c], values), copy=False)
+            columns[c][start : start + values.size] = values
+    return tuple(columns)
 
 
 def _merge_chunk(table: _SortedKeys, oracle: Callable, players: PlayerSet, chunk_start: int, counted):
-    """Add a chunk's new coalitions to the run's table, and give its steps their values.
+    """Add a chunk's new coalitions to the run's table, and give each of the chunk's coalitions its answer.
 
     The chunk's coalitions the table does not hold are answered by
     :func:`_evaluate` in ascending mask order, and a failure names the
     first permutation of the stream that needs the coalition. Returns,
     for each of the chunk's distinct steps, its count, its player, and
-    the numerator and denominator of its prefix plus player and of its
-    prefix.
+    the positions of its prefix plus player and of its prefix among the
+    chunk's coalitions; then those coalitions' numerators and
+    denominators. The keys of ``counted`` are let go once answered.
     """
     coalitions, needed_by, counts, step_players, joined, prefix = counted
+    del counted
+    size = coalitions.size
     found, due = table.match(coalitions)
     held = [(columns, where, at) for (_, *columns), where, at in found]
     if due.size:
-        new = _evaluate(oracle, players, coalitions[due], needed_by[due] + chunk_start)
-        table.add(coalitions[due], *new)
+        if due.size < size:
+            coalitions, needed_by = coalitions[due], needed_by[due]
+        new = _evaluate(oracle, players, coalitions, needed_by, chunk_start)
+        table.add(coalitions, *new)
         held.append((new, due, slice(None)))
-    num, den = (np.empty(coalitions.size, np.result_type(*(columns[c] for columns, _, _ in held))) for c in (0, 1))
+    del coalitions, needed_by, found
+    if due.size == size:
+        return counts, step_players, joined, prefix, *new
+    num, den = (np.empty(size, np.result_type(*(columns[c] for columns, _, _ in held))) for c in (0, 1))
     for (held_num, held_den), where, at in held:
         num[where], den[where] = held_num[at], held_den[at]
-    return counts, step_players, num[joined], den[joined], num[prefix], den[prefix]
+    return counts, step_players, joined, prefix, num, den
 
 
 def _std_error(variance: Fraction, player: str) -> float:
@@ -365,22 +386,29 @@ def _sorted_steps(oracle: Callable, players: PlayerSet, plan: SamplingPlan):
     """The run's steps with their values, counted a chunk at a time by sorting, in blocks for :func:`_sum_block`.
 
     Each chunk's distinct steps are counted by :func:`_count_steps` and
-    valued by :func:`_merge_chunk` against the run's one coalition table.
-    Counted steps wait until ``_SUM_BLOCK`` are due, or the run ends, and
-    then go in the fewest blocks of at most ``_SUM_BLOCK``.
+    their coalitions answered by :func:`_merge_chunk` against the run's one
+    coalition table. Counted steps wait until ``_SUM_BLOCK`` are due, or
+    the run ends, and then go in the fewest blocks of at most
+    ``_SUM_BLOCK``, each block's values gathered from its coalitions' columns.
     """
     n, m = players.n, plan.permutations
     table = _SortedKeys()
     waiting: list[tuple] = []
     for chunk_index, chunk_start in enumerate(range(0, m, plan.chunk_size)):
         count = min(plan.chunk_size, m - chunk_start)
-        counted = _count_steps(n, plan.seed, chunk_index, count)
-        waiting.append(_merge_chunk(table, oracle, players, chunk_start, counted))
-        if sum(steps[0].size for steps in waiting) >= _SUM_BLOCK or chunk_start + count == m:
-            columns = [np.concatenate(column) for column in zip(*waiting)]
-            blocks = -(-columns[0].size // _SUM_BLOCK)
-            yield from zip(*(np.array_split(column, blocks) for column in columns))
-            waiting.clear()
+        waiting.append(_merge_chunk(table, oracle, players, chunk_start, _count_steps(n, plan.seed, chunk_index, count)))
+        if sum(steps[0].size for steps in waiting) < _SUM_BLOCK and chunk_start + count < m:
+            continue
+        if len(waiting) > 1:  # a chunk's coalition positions follow the coalitions of those before it
+            offsets = np.cumsum([0] + [steps[4].size for steps in waiting[:-1]])
+            waiting = [(c, p, np.add(j, at, dtype=np.intp), np.add(q, at, dtype=np.intp), num, den)
+                       for (c, p, j, q, num, den), at in zip(waiting, offsets)]
+            waiting = [tuple(map(np.concatenate, zip(*waiting)))]
+        counts, step_players, joined, prefix, num, den = waiting.pop()
+        blocks = -(-counts.size // _SUM_BLOCK)
+        for c, p, j, q in zip(*(np.array_split(column, blocks) for column in (counts, step_players, joined, prefix))):
+            yield c, p, num[j], den[j], num[q], den[q]
+        del counts, step_players, joined, prefix, num, den, c, p, j, q  # not held while the next chunk is counted
 
 
 def _nonzero_slots(counts: np.ndarray) -> np.ndarray:

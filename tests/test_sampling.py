@@ -462,6 +462,103 @@ def test_counting_a_chunk_peaks_below_a_stated_number_of_arrays(n, arrays):
     assert peak <= arrays * count * n * 8
 
 
+def _cheap_oracle(coalition):
+    return Fraction(coalition.mask.bit_count() * 3, 7)
+
+
+@pytest.mark.parametrize("permutations", [1_000, DEFAULT_CHUNK_SIZE])
+def test_a_sort_path_chunk_peaks_below_a_stated_number_of_arrays(permutations):
+    # One chunk of a 64-player oracle holds each working column once, and its
+    # answers and its steps' values a block at a time. The peak of traced
+    # allocations, in arrays of permutations x n 8-byte words, reads about 6.7
+    # and 5.7; a chunk that held every answer as a Python int, or its step
+    # values three times over, would pass 9.
+    n = 64
+    players = PlayerSet(tuple(f"p{i}" for i in range(n)))
+    sample_shapley(_cheap_oracle, PlayerSet(("a", "b")), SamplingPlan(8, seed=0))  # numpy's first-call setup
+    tracemalloc.start()
+    try:
+        report = sample_shapley(_cheap_oracle, players, SamplingPlan(permutations, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(report.estimates, Fraction(0)) == Fraction(3 * n, 7)
+    assert peak <= 9 * permutations * n * 8, peak / (permutations * n * 8)
+
+
+# one chunk, chunks whose new coalitions span several slices of 7, a 64-player
+# run of one-word keys and a 65-player run of two-word keys
+SLICE_CASES = pytest.mark.parametrize(
+    "n, permutations, chunk_size", [(6, 300, 300), (6, 300, 40), (64, 20, 6), (65, 30, 8)]
+)
+
+
+def _asked(n: int, plan: SamplingPlan, value=_mixing_value):
+    """The masks the oracle was asked for, in order, and the report."""
+    masks = []
+
+    def oracle(coalition):
+        masks.append(coalition.mask)
+        return value(coalition.mask)
+
+    report = sample_shapley(oracle, PlayerSet(tuple(f"p{i}" for i in range(n))), plan)
+    return masks, report
+
+
+@SLICE_CASES
+def test_the_oracle_is_asked_alike_a_slice_at_a_time(monkeypatch, n, permutations, chunk_size):
+    plan = SamplingPlan(permutations, seed=70 + n, chunk_size=chunk_size)
+    expected = _asked(n, plan)
+    assert expected[0] == _documented_calls(n, plan)[0]
+    slices = []
+    column = sampling._column
+
+    def spy(values):
+        slices.append(len(values))
+        return column(values)
+
+    monkeypatch.setattr(sampling, "_column", spy)
+    monkeypatch.setattr(sampling, "_SUM_BLOCK", 7)
+    assert _asked(n, plan) == expected
+    # a numerator and a denominator column per slice, each of at most 7 answers
+    assert max(slices) <= 7 and sum(slices) == 2 * len(expected[0])
+    assert len(slices) > 2 * -(-permutations // chunk_size)
+
+
+@SLICE_CASES
+def test_a_failure_in_a_later_slice_names_the_first_permutation_that_needs_it(monkeypatch, n, permutations, chunk_size):
+    monkeypatch.setattr(sampling, "_SUM_BLOCK", 7)
+    plan = SamplingPlan(permutations, seed=70 + n, chunk_size=chunk_size)
+    players = PlayerSet(tuple(f"p{i}" for i in range(n)))
+    calls, expected = _documented_calls(n, plan)
+    for call in (7, 8, 20, len(calls) // 2, len(calls) - 1):
+
+        def oracle(coalition):
+            if coalition.mask == calls[call]:
+                raise RuntimeError("boom")
+            return _mixing_value(coalition.mask)
+
+        with pytest.raises(OracleError) as err:
+            sample_shapley(oracle, players, plan)
+        assert err.value.permutation_index == expected[call], call
+
+
+@SLICE_CASES
+def test_answers_past_int64_in_a_later_slice_alone_report_alike(monkeypatch, n, permutations, chunk_size):
+    # calls 14 to 20 are one slice of 7, past the first of their chunk's
+    # slices in every case; only their answers pass int64
+    plan = SamplingPlan(permutations, seed=70 + n, chunk_size=chunk_size)
+    wide = set(_documented_calls(n, plan)[0][14:21])
+
+    def value(mask):
+        return _mixing_value(mask) * (2**64 if mask in wide else 1)
+
+    expected = _asked(n, plan, value)
+    monkeypatch.setattr(sampling, "_SUM_BLOCK", 7)
+    assert _asked(n, plan, value) == expected
+    assert expected[1].estimates == _reference_report(n, plan, value)[0]
+
+
 def test_sorted_keys_stay_in_few_arrays():
     # batches of new keys that shrink slowly, as a run's new steps do
     table = sampling._SortedKeys()
