@@ -272,8 +272,7 @@ def _evaluate(oracle: Callable, players: PlayerSet, keys: np.ndarray, needed_by:
     columns = [np.empty(keys.size, np.int64), np.empty(keys.size, np.int64)]
     for start in range(0, keys.size, _SUM_BLOCK):
         block = keys[start : start + _SUM_BLOCK]
-        # a one-word key's big-endian bytes are one uint64
-        masks = block.view(">u8").tolist() if keys.itemsize == 8 else [int.from_bytes(key, "big") for key in block.tolist()]
+        masks = [int.from_bytes(key, "big") for key in block.tolist()]
         num, den = [0] * len(masks), [0] * len(masks)
         try:
             for k, mask in enumerate(masks):
@@ -309,8 +308,6 @@ def _merge_chunk(table: _SortedKeys, oracle: Callable, players: PlayerSet, chunk
         table.add(coalitions, *new)
         held.append((new, due, slice(None)))
     del coalitions, needed_by, found
-    if due.size == size:
-        return counts, step_players, joined, prefix, *new
     num, den = (np.empty(size, np.result_type(*(columns[c] for columns, _, _ in held))) for c in (0, 1))
     for (held_num, held_den), where, at in held:
         num[where], den[where] = held_num[at], held_den[at]

@@ -470,8 +470,8 @@ def _cheap_oracle(coalition):
 def test_a_sort_path_chunk_peaks_below_a_stated_number_of_arrays(permutations):
     # One chunk of a 64-player oracle holds each working column once, and its
     # answers and its steps' values a block at a time. The peak of traced
-    # allocations, in arrays of permutations x n 8-byte words, reads about 6.7
-    # and 5.7; a chunk that held every answer as a Python int, or its step
+    # allocations, in arrays of permutations x n 8-byte words, reads about 7.6
+    # and 6.9; a chunk that held every answer as a Python int, or its step
     # values three times over, would pass 9.
     n = 64
     players = PlayerSet(tuple(f"p{i}" for i in range(n)))
