@@ -22,10 +22,11 @@ Every other oracle takes the sort path, :func:`_sorted_steps`, one chunk
 at a time: :func:`_count_steps` counts a chunk's distinct steps by
 sorting, and :func:`_merge_chunk` finds the chunk's coalitions in the
 run's one coalition table and has :func:`_evaluate` ask the oracle once
-per coalition new to the run, in ascending mask order, ``_SUM_BLOCK`` at
-a time. Each step holds the positions of its two coalitions, and a block
-of steps gathers their values when it is summed; no step is probed one
-by one in Python.
+per coalition new to the run, in ascending mask order, ``_ASK_ROWS`` at
+a time. The table's arrays are read-only, so a chunk whose coalitions
+are all new reads its answers from the table's own columns. Each step
+holds the positions of its two coalitions, and a block of steps gathers
+their values when it is summed; no step is probed one by one in Python.
 
 On both paths :func:`_sum_block` adds the steps' marginals to each
 player's integer sums per denominator, and only those sums become
@@ -62,11 +63,14 @@ DEFAULT_CHUNK_SIZE = 4096
 # chunk size and 16.7 MiB at this bound.
 MAX_CHUNK_SIZE = 65_536
 
-# Steps whose marginals are summed at a time, and coalitions the sort path asks
-# the oracle for at a time: counted steps wait until this many are due, each
-# block's values are gathered when it is summed, and the sums' temporaries peak
-# near fifteen columns of this size, in int64 or Python ints of any size.
+# Steps whose marginals are summed at a time: counted steps wait until this many
+# are due, each block's values are gathered when it is summed, and the sums'
+# temporaries peak near fifteen columns of this size, in int64 or Python ints.
 _SUM_BLOCK = 8192
+
+# Coalitions the sort path asks the oracle for at a time, whose answers are held
+# as Python ints until they are written into the chunk's answer columns.
+_ASK_ROWS = 1024
 
 # Count-table slots searched for steps at a time: numpy finds the nonzero
 # entries of a bool mask on a fast loop, not of a uint16 or int64 table, and
@@ -227,8 +231,10 @@ class _SortedKeys:
     most twice the size of the last. Each array is then more than twice
     the next, so N keys lie in at most log2(N) + 1 arrays and a key is
     copied O(log N) times, where inserting each batch into one sorted
-    array would copy the whole table per batch. Merged columns take the
-    wider of their two dtypes.
+    array would copy the whole table per batch. Two arrays merge a column
+    at a time, in the wider of the two dtypes, and each old column is let
+    go once its merged copy exists, so a merge holds the merged table and
+    one old column. Every array the table holds is read-only.
     """
 
     def __init__(self):
@@ -252,16 +258,25 @@ class _SortedKeys:
         return found, missing
 
     def add(self, keys: np.ndarray, *columns: np.ndarray) -> None:
-        """Add sorted ``keys``, none of them held yet, with their ``columns``."""
+        """Add sorted ``keys``, none of them held yet, with their ``columns``, all made read-only."""
         self.arrays.append((keys, *columns))
         while len(self.arrays) > 1 and self.arrays[-2][0].size <= 2 * self.arrays[-1][0].size:
-            new, old = self.arrays.pop(), self.arrays.pop()
-            at = np.searchsorted(old[0], new[0])
-            self.arrays.append(tuple(np.insert(a.astype(np.result_type(a, b), copy=False), at, b) for a, b in zip(old, new)))
+            new, old = list(self.arrays.pop()), list(self.arrays.pop())
+            # each new key's slot in the merged array, and the slots the old keys keep
+            at = np.searchsorted(old[0], new[0]) + np.arange(new[0].size)
+            kept = np.ones(old[0].size + at.size, bool)
+            kept[at] = False
+            for c in range(len(old)):
+                merged = np.empty(kept.size, np.result_type(old[c], new[c]))
+                merged[kept], merged[at] = old[c], new[c]
+                old[c] = new[c] = merged
+            self.arrays.append(tuple(old))
+        for array in self.arrays[-1]:
+            array.setflags(write=False)
 
 
 def _evaluate(oracle: Callable, players: PlayerSet, keys: np.ndarray, needed_by: np.ndarray, chunk_start: int):
-    """The oracle's answers for the coalitions of ``keys``, in that order, asked ``_SUM_BLOCK`` at a time.
+    """The oracle's answers for the coalitions of ``keys``, in that order, asked ``_ASK_ROWS`` at a time.
 
     The oracle is called once per key, in order, and a failure at key k
     names permutation ``chunk_start + needed_by[k]``. A slice's answers
@@ -270,8 +285,8 @@ def _evaluate(oracle: Callable, players: PlayerSet, keys: np.ndarray, needed_by:
     the keys: int64, widened to Python ints once a slice needs them.
     """
     columns = [np.empty(keys.size, np.int64), np.empty(keys.size, np.int64)]
-    for start in range(0, keys.size, _SUM_BLOCK):
-        block = keys[start : start + _SUM_BLOCK]
+    for start in range(0, keys.size, _ASK_ROWS):
+        block = keys[start : start + _ASK_ROWS]
         masks = [int.from_bytes(key, "big") for key in block.tolist()]
         num, den = [0] * len(masks), [0] * len(masks)
         try:
@@ -294,23 +309,30 @@ def _merge_chunk(table: _SortedKeys, oracle: Callable, players: PlayerSet, chunk
     for each of the chunk's distinct steps, its count, its player, and
     the positions of its prefix plus player and of its prefix among the
     chunk's coalitions; then those coalitions' numerators and
-    denominators. The keys of ``counted`` are let go once answered.
+    denominators. When every coalition is new, these are the columns the
+    table is given; otherwise they are filled before the table adds the
+    new ones, so that a merge holds no column of the table twice. The
+    keys of ``counted`` are let go once answered.
     """
     coalitions, needed_by, counts, step_players, joined, prefix = counted
     del counted
     size = coalitions.size
     found, due = table.match(coalitions)
-    held = [(columns, where, at) for (_, *columns), where, at in found]
+    if due.size < size:
+        coalitions, needed_by = coalitions[due], needed_by[due]
+    new = _evaluate(oracle, players, coalitions, needed_by, chunk_start)
+    del needed_by
+    if due.size == size:
+        num, den = new
+    else:
+        held = [(columns, where, at) for (_, *columns), where, at in found] + [(new, due, slice(None))]
+        num, den = (np.empty(size, np.result_type(*(columns[c] for columns, _, _ in held))) for c in (0, 1))
+        for (held_num, held_den), where, at in held:
+            num[where], den[where] = held_num[at], held_den[at]
+        del held
+    del found
     if due.size:
-        if due.size < size:
-            coalitions, needed_by = coalitions[due], needed_by[due]
-        new = _evaluate(oracle, players, coalitions, needed_by, chunk_start)
         table.add(coalitions, *new)
-        held.append((new, due, slice(None)))
-    del coalitions, needed_by, found
-    num, den = (np.empty(size, np.result_type(*(columns[c] for columns, _, _ in held))) for c in (0, 1))
-    for (held_num, held_den), where, at in held:
-        num[where], den[where] = held_num[at], held_den[at]
     return counts, step_players, joined, prefix, num, den
 
 

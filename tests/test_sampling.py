@@ -468,11 +468,12 @@ def _cheap_oracle(coalition):
 
 @pytest.mark.parametrize("permutations", [1_000, DEFAULT_CHUNK_SIZE])
 def test_a_sort_path_chunk_peaks_below_a_stated_number_of_arrays(permutations):
-    # One chunk of a 64-player oracle holds each working column once, and its
-    # answers and its steps' values a block at a time. The peak of traced
-    # allocations, in arrays of permutations x n 8-byte words, reads about 7.6
-    # and 6.9; a chunk that held every answer as a Python int, or its step
-    # values three times over, would pass 9.
+    # One chunk of a 64-player oracle holds each working column once, its
+    # answers in the table's own columns, asked 1,024 at a time, and its steps'
+    # values a block at a time. The peak of traced allocations, in arrays of
+    # permutations x n 8-byte words, reads about 5.8 and 5.4; a chunk that
+    # copied its answers out of the table and asked 8,192 at a time read 7.6
+    # and 6.9, and one that held every answer as a Python int passed 15.
     n = 64
     players = PlayerSet(tuple(f"p{i}" for i in range(n)))
     sample_shapley(_cheap_oracle, PlayerSet(("a", "b")), SamplingPlan(8, seed=0))  # numpy's first-call setup
@@ -483,7 +484,34 @@ def test_a_sort_path_chunk_peaks_below_a_stated_number_of_arrays(permutations):
     finally:
         tracemalloc.stop()
     assert sum(report.estimates, Fraction(0)) == Fraction(3 * n, 7)
-    assert peak <= 9 * permutations * n * 8, peak / (permutations * n * 8)
+    assert peak <= 6.5 * permutations * n * 8, peak / (permutations * n * 8)
+
+
+def test_a_run_hands_out_only_read_only_columns_of_its_table(monkeypatch):
+    merged = []
+    merge_chunk = sampling._merge_chunk
+
+    def spy(table, *args):
+        steps = merge_chunk(table, *args)
+        merged.append((table, steps))
+        return steps
+
+    monkeypatch.setattr(sampling, "_merge_chunk", spy)
+    players = PlayerSet(tuple(f"p{i}" for i in range(64)))
+    # 32 chunks: every array the table holds, merged ones included, is read-only
+    sample_shapley(_cheap_oracle, players, SamplingPlan(2_000, seed=2, chunk_size=64))
+    table = merged[-1][0]
+    assert len(merged) == 32 and len(table.arrays) < 32
+    assert not any(array.flags.writeable for arrays in table.arrays for array in arrays)
+    # one chunk, all of its coalitions new: its answer columns are the table's own
+    merged.clear()
+    sample_shapley(_cheap_oracle, players, SamplingPlan(300, seed=2))
+    ((table, (*_, num, den)),) = merged
+    ((_, table_num, table_den),) = table.arrays
+    assert np.shares_memory(num, table_num) and np.shares_memory(den, table_den)
+    for column in (num, table_den):
+        with pytest.raises(ValueError):
+            column[0] = 1
 
 
 # one chunk, chunks whose new coalitions span several slices of 7, a 64-player
@@ -518,7 +546,7 @@ def test_the_oracle_is_asked_alike_a_slice_at_a_time(monkeypatch, n, permutation
         return column(values)
 
     monkeypatch.setattr(sampling, "_column", spy)
-    monkeypatch.setattr(sampling, "_SUM_BLOCK", 7)
+    monkeypatch.setattr(sampling, "_ASK_ROWS", 7)
     assert _asked(n, plan) == expected
     # a numerator and a denominator column per slice, each of at most 7 answers
     assert max(slices) <= 7 and sum(slices) == 2 * len(expected[0])
@@ -527,7 +555,7 @@ def test_the_oracle_is_asked_alike_a_slice_at_a_time(monkeypatch, n, permutation
 
 @SLICE_CASES
 def test_a_failure_in_a_later_slice_names_the_first_permutation_that_needs_it(monkeypatch, n, permutations, chunk_size):
-    monkeypatch.setattr(sampling, "_SUM_BLOCK", 7)
+    monkeypatch.setattr(sampling, "_ASK_ROWS", 7)
     plan = SamplingPlan(permutations, seed=70 + n, chunk_size=chunk_size)
     players = PlayerSet(tuple(f"p{i}" for i in range(n)))
     calls, expected = _documented_calls(n, plan)
@@ -554,7 +582,7 @@ def test_answers_past_int64_in_a_later_slice_alone_report_alike(monkeypatch, n, 
         return _mixing_value(mask) * (2**64 if mask in wide else 1)
 
     expected = _asked(n, plan, value)
-    monkeypatch.setattr(sampling, "_SUM_BLOCK", 7)
+    monkeypatch.setattr(sampling, "_ASK_ROWS", 7)
     assert _asked(n, plan, value) == expected
     assert expected[1].estimates == _reference_report(n, plan, value)[0]
 
@@ -587,6 +615,35 @@ def test_sorted_keys_widen_a_merged_column():
     ((keys, values),) = table.arrays
     assert keys.tolist() == [1, 2, 3]
     assert values.tolist() == [10, 2**70, 30]
+
+
+def test_a_cascading_merge_holds_the_merged_table_and_little_more():
+    # The last add merges its 100k keys with the 100k before them, and that
+    # array with the 400k before it. A merge builds one column at a time and
+    # lets each old column go once its merged copy exists: the traced peak
+    # reads about 1.3 times the final table, where holding both arrays' columns
+    # and np.insert's temporaries read about 1.7.
+    keys = np.random.default_rng(4).permutation(600_000)
+
+    def batch(part):
+        part = np.sort(part)
+        return part, part * 2, part * 3
+
+    table = sampling._SortedKeys()
+    table.add(*batch(keys[:400_000]))
+    table.add(*batch(keys[400_000:500_000]))
+    last = batch(keys[500_000:])
+    tracemalloc.start()
+    try:
+        table.add(*last)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ((merged, doubled, tripled),) = table.arrays
+    assert np.array_equal(merged, np.arange(600_000))
+    assert np.array_equal(doubled, merged * 2) and np.array_equal(tripled, merged * 3)
+    final = merged.nbytes + doubled.nbytes + tripled.nbytes
+    assert peak < 1.6 * final, peak / final
 
 
 def test_answers_past_int64_after_chunks_of_int64_answers():
