@@ -23,3 +23,11 @@ CASE_CLASSICAL = (Fraction(4150, 3), Fraction(2950, 3), Fraction(1900, 3))
 @pytest.fixture
 def case_game() -> CharacteristicFunction:
     return CharacteristicFunction.from_values(("A", "B", "C"), CASE_VALUES)
+
+
+def pytest_collection_modifyitems(config, items):
+    # Without -m, a case marked ci is deselected: tier-1 runs everything else.
+    if not config.option.markexpr:
+        ci = [item for item in items if item.get_closest_marker("ci")]
+        config.hook.pytest_deselected(items=ci)
+        items[:] = [item for item in items if item not in ci]

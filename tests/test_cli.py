@@ -1,9 +1,6 @@
 import csv
 import io
 import json
-import os
-import subprocess
-import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
@@ -20,9 +17,9 @@ from chainshare.report import FORMATS
 from chainshare.sampling import MAX_CHUNK_SIZE
 from chainshare.scenario import bundled_scenario, load_scenario, scenario_hierarchy
 
+from .child import run_child
 from .strategies import scenario_texts
 
-ROOT = Path(__file__).resolve().parent.parent
 CASE_PATH = str(bundled_scenario("paper_case"))
 HIERARCHY_PATH = str(bundled_scenario("paper_ahp"))
 
@@ -499,13 +496,9 @@ def test_label_with_a_lone_surrogate_exits_one_in_a_real_process(tmp_path, where
     })
     command = ["shapley", path] if where == "players" else ["ahp", "weights", path]
     output = tmp_path / "report.txt"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "chainshare.cli", *command, *(["--output", str(output)] if to_file else [])],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert_one_error_line(result.returncode, result.stdout, result.stderr, f"error: {locus}: ", "UTF-8")
+    result = run_child(["-m", "chainshare.cli", *command, *(["--output", str(output)] if to_file else [])],
+                       seconds=60, code=1)
+    assert_one_error_line(result.code, result.stdout, result.stderr, f"error: {locus}: ", "UTF-8")
     assert not output.exists()
 
 

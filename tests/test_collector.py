@@ -60,9 +60,9 @@ def test_parse_scenario_decodes_with_the_collector_paused(monkeypatch):
     seen = []
     loads = json.loads
 
-    def recorded(text):
+    def recorded(*args, **kwargs):
         seen.append(gc.isenabled())
-        return loads(text)
+        return loads(*args, **kwargs)
 
     monkeypatch.setattr(scenario_module.json, "loads", recorded)
     with _collector(True):

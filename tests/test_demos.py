@@ -1,9 +1,8 @@
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from .child import run_child
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -18,10 +17,4 @@ DEMOS = [
 
 @pytest.mark.parametrize("name", DEMOS)
 def test_demo_runs(name, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / name)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
+    run_child([str(ROOT / "demos" / name)], seconds=120, cwd=tmp_path)
