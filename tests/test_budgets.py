@@ -32,6 +32,45 @@ def test_a_full_table_allocate_runs_within_its_bounds(tmp_path, n, seconds, mb):
     path.unlink()
 
 
+# 266 KB and 212,224 violations. One Coalition per mask read 124 MB (table) and
+# 186 MB (csv); one new Coalition pair per violation read 174 and 236 MB. Wall
+# times vary twofold on a shared machine, so the time bounds are ceilings only.
+# Structured output (12-17 s and 1.1 GB) is left to the cap of ROADMAP item 4.
+@pytest.mark.parametrize("format, seconds, mb", [("table", 5, 150), ("csv", 8, 210)])
+def test_a_full_table_validate_runs_within_its_bounds(tmp_path, format, seconds, mb):
+    path = tmp_path / "wide12.scenario"
+    write_full_table(path, 12)
+    run_child(["-m", "chainshare.cli", "validate", str(path), "--format", format, "--output", str(tmp_path / "out")],
+              seconds=seconds, mb=mb)
+
+
+def _deep_nesting(path):
+    path.write_text('{"players": ["A"], "coalitions": [{"members": ["A"], "value": '
+                    + "[" * 100_000 + "]" * 100_000 + "}]}")
+
+
+def _long_integer(path):
+    path.write_text('{"players": ["A"], "coalitions": [{"members": ["A"], "value": ' + "9" * 10**6 + "}]}")
+
+
+def _wide_scenario(path):
+    players = [f"p{i}" for i in range(21)]
+    path.write_text(json.dumps({"players": players, "coalitions": [{"members": [p], "value": "1"} for p in players]}))
+
+
+@pytest.mark.parametrize("write, error", [
+    (_deep_nesting, "maximum recursion depth exceeded"),
+    (_long_integer, "Exceeds the limit (4300 digits) for integer string conversion"),
+    (_wide_scenario, "21 players exceed the exact enumeration bound of 20"),
+])
+@pytest.mark.parametrize("command", ["shapley", "allocate", "sample", "validate"])
+def test_a_hostile_scenario_is_refused_by_name_within_its_bounds(tmp_path, write, error, command):
+    path = tmp_path / "hostile.scenario"
+    write(path)
+    child = run_child(["-m", "chainshare.cli", command, str(path)], seconds=10, mb=64, code=1)
+    assert child.stderr.startswith("error: ") and error in child.stderr, child.stderr
+
+
 def test_a_multi_chunk_sort_path_run_stays_within_its_memory_bound():
     # 32 chunks of 256 permutations, one coalition table; the estimates sum to v(N).
     run_child(["-c", "from fractions import Fraction as F\n"

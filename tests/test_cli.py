@@ -296,6 +296,10 @@ MALFORMED_CORPUS = [
     '{"players": ["A"], "coalitions": [{"members": ["A"], "value": "1"}], "mode": "zzz"}',
     '{"players": ["A", "B"], "coalitions": [{"members": ["A"], "value": "1"}]}',
     '{"players": ["A"], "coalitions": [{"members": ["A"], "value": "1"}], "factors": {"B": "1"}}',
+    '{"players": ["A", "B"], "coalitions": [{"members": ["A"], "value": 1000}, {"members": ["B"], "value": "1e3"},'
+    ' {"members": ["B", "B"], "value": "2500.50"}]}',
+    '{"players": ["A", "B"], "coalitions": [{"members": ["A"], "value": "1"}, {"members": ["B"], "value": "2"},'
+    ' {"members": ["A", "B"], "value": "3"}, {"members": ["B", "A"], "value": "3"}]}',
 ]
 
 
